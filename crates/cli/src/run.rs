@@ -597,17 +597,25 @@ mod tests {
     use super::*;
     use crate::args::parse;
 
+    /// The shared sample file, written once per test process: tests run
+    /// on parallel threads, and a rewrite under a concurrent reader
+    /// hands it a truncated file.
     fn write_sample() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("topk_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sample.tsv");
-        let d = topk_datagen::generate_citations(&topk_datagen::CitationConfig {
-            n_authors: 40,
-            n_citations: 200,
-            ..Default::default()
-        });
-        topk_records::io::write_tsv(&d, &path).unwrap();
-        path
+        static SAMPLE: std::sync::OnceLock<std::path::PathBuf> = std::sync::OnceLock::new();
+        SAMPLE
+            .get_or_init(|| {
+                let dir = std::env::temp_dir().join("topk_cli_test");
+                std::fs::create_dir_all(&dir).unwrap();
+                let path = dir.join("sample.tsv");
+                let d = topk_datagen::generate_citations(&topk_datagen::CitationConfig {
+                    n_authors: 40,
+                    n_citations: 200,
+                    ..Default::default()
+                });
+                topk_records::io::write_tsv(&d, &path).unwrap();
+                path
+            })
+            .clone()
     }
 
     #[test]

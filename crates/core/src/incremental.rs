@@ -19,6 +19,8 @@
 //! should warm up on an initial batch, as `examples/news_feed_tracking`
 //! effectively does).
 
+use std::{cmp::Ordering, collections::BTreeSet};
+
 use topk_graph::UnionFind;
 use topk_predicates::{PredicateStack, SufficientPredicate};
 use topk_records::TokenizedRecord;
@@ -45,11 +47,151 @@ use crate::pipeline::FinalGroup;
 /// let top = inc.query(&stack, 3);
 /// assert!(!top.is_empty());
 /// ```
+#[derive(Default)]
 pub struct IncrementalDedup {
     toks: Vec<TokenizedRecord>,
-    uf: UnionFind,
+    sets: Sets,
     blocks: std::collections::HashMap<u64, Vec<u32>>,
     generation: u64,
+    materialisations: u64,
+}
+
+/// What a reader of the collapse needs of one group, without its member
+/// list. Ordered heaviest first, ties by ascending `rep` — the order of
+/// [`IncrementalDedup::groups`]; `size` takes no part in the comparison.
+#[derive(Debug, Clone, Copy)]
+pub struct GroupSummary {
+    /// Sum of the members' weights, folded in ascending record id.
+    pub weight: f64,
+    /// Number of member records.
+    pub size: u32,
+    /// The heaviest member (highest id among equals).
+    pub rep: u32,
+}
+
+impl Ord for GroupSummary {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let heavier_first = other.weight.total_cmp(&self.weight);
+        heavier_first.then(self.rep.cmp(&other.rep))
+    }
+}
+
+impl PartialOrd for GroupSummary {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for GroupSummary {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for GroupSummary {}
+
+/// The union-find, the aggregates of each root maintained where the
+/// union happens, and the roots in rank order.
+#[derive(Default)]
+struct Sets {
+    uf: UnionFind,
+    /// Valid at roots: the group's weight and representative.
+    weight: Vec<f64>,
+    rep: Vec<u32>,
+    /// Intrusive ring through each group's members, spliced at union.
+    next: Vec<u32>,
+    /// Every root's summary as of the last [`Sets::sync`].
+    index: BTreeSet<GroupSummary>,
+    /// Since the last sync: index entries that no longer describe a
+    /// root, the roots to (re-)enter, and one member of each group whose
+    /// weight a union of interleaved ids left to be re-summed.
+    stale: Vec<GroupSummary>,
+    dirty: Vec<u32>,
+    resum: Vec<u32>,
+}
+
+impl Sets {
+    /// The last maximum under (weight, id), as `max_by` over ascending
+    /// members picks it.
+    fn heavier(toks: &[TokenizedRecord], a: u32, b: u32) -> u32 {
+        let w = |x: u32| toks[x as usize].weight();
+        std::cmp::max_by(a, b, |&x, &y| w(x).total_cmp(&w(y)).then(x.cmp(&y)))
+    }
+
+    fn summary(&mut self, root: u32) -> GroupSummary {
+        GroupSummary {
+            weight: self.weight[root as usize],
+            size: self.uf.set_size(root),
+            rep: self.rep[root as usize],
+        }
+    }
+
+    /// Append the newest record, the last of `toks`, as a singleton.
+    fn push(&mut self, toks: &[TokenizedRecord]) -> u32 {
+        let id = self.uf.push();
+        // The one-element fold, so a singleton's bits equal `groups()`'s.
+        let w = std::iter::once(toks[id as usize].weight()).sum();
+        self.weight.push(w);
+        self.rep.push(id);
+        self.next.push(id);
+        self.dirty.push(id);
+        id
+    }
+
+    /// Merge the group of `other` and its aggregates into the group of
+    /// the newest record.
+    fn union(&mut self, other: u32, toks: &[TokenizedRecord]) {
+        let newest = toks.len() as u32 - 1;
+        let (ra, rb) = (self.uf.find(newest), self.uf.find(other));
+        if ra == rb {
+            return;
+        }
+        let (sa, sb) = (self.summary(ra), self.summary(rb));
+        // The newest record's group took shape in this insert; only the
+        // other can be in the index.
+        self.stale.push(sb);
+        self.uf.union(ra, rb);
+        let root = self.uf.find(ra);
+        // The newest record, still on its own, continues the other
+        // group's ascending fold exactly; once it has company the ids
+        // interleave, and the merged group is re-summed at the next sync.
+        if sa.size == 1 {
+            self.weight[root as usize] = sb.weight + toks[newest as usize].weight();
+        } else {
+            self.resum.push(root);
+        }
+        self.rep[root as usize] = Self::heavier(toks, sa.rep, sb.rep);
+        self.next.swap(ra as usize, rb as usize);
+        self.dirty.push(root);
+    }
+
+    /// Bring the index up to date with every union since the last call:
+    /// O(d log n) for d touched roots, plus one pass over each group a
+    /// bridge record merged.
+    fn sync(&mut self, toks: &[TokenizedRecord]) {
+        let mut roots: Vec<u32> = self.resum.drain(..).map(|m| self.uf.find(m)).collect();
+        roots.sort_unstable();
+        roots.dedup();
+        for r in roots {
+            let mut members = vec![r];
+            let mut m = self.next[r as usize];
+            while m != r {
+                members.push(m);
+                m = self.next[m as usize];
+            }
+            members.sort_unstable();
+            self.weight[r as usize] = members.iter().map(|&m| toks[m as usize].weight()).sum();
+        }
+        for s in std::mem::take(&mut self.stale) {
+            self.index.remove(&s);
+        }
+        for r in std::mem::take(&mut self.dirty) {
+            if self.uf.find(r) == r {
+                let s = self.summary(r);
+                self.index.insert(s);
+            }
+        }
+    }
 }
 
 /// Plain-data snapshot of an [`IncrementalDedup`] — everything needed to
@@ -75,12 +217,7 @@ pub struct IncrementalState {
 impl IncrementalDedup {
     /// Empty state.
     pub fn new() -> Self {
-        IncrementalDedup {
-            toks: Vec::new(),
-            uf: UnionFind::new(0),
-            blocks: std::collections::HashMap::new(),
-            generation: 0,
-        }
+        Self::default()
     }
 
     /// Number of records inserted.
@@ -95,7 +232,7 @@ impl IncrementalDedup {
 
     /// Number of collapsed groups so far.
     pub fn group_count(&self) -> usize {
-        self.uf.set_count()
+        self.sets.uf.set_count()
     }
 
     /// Monotonically increasing ingest counter: bumped once per
@@ -122,7 +259,7 @@ impl IncrementalDedup {
                     (fields, t.weight())
                 })
                 .collect(),
-            parent: self.uf.to_vec(),
+            parent: self.sets.uf.to_vec(),
             blocks,
             generation: self.generation,
         }
@@ -156,15 +293,34 @@ impl IncrementalDedup {
                 state.generation
             ));
         }
-        Ok(IncrementalDedup {
-            toks: state
-                .records
-                .iter()
-                .map(|(fields, w)| TokenizedRecord::from_fields(fields, *w))
-                .collect(),
+        let toks: Vec<TokenizedRecord> = state
+            .records
+            .iter()
+            .map(|(fields, w)| TokenizedRecord::from_fields(fields, *w))
+            .collect();
+        // Aggregates in one ascending pass — the fold and the `max_by`
+        // of `groups()` — then every root into the index.
+        let mut sets = Sets {
             uf,
+            weight: vec![std::iter::empty::<f64>().sum(); n],
+            rep: (0..n as u32).collect(),
+            next: (0..n as u32).collect(),
+            dirty: (0..n as u32).collect(),
+            ..Sets::default()
+        };
+        for x in 0..n as u32 {
+            let r = sets.uf.find(x) as usize;
+            sets.weight[r] += toks[x as usize].weight();
+            sets.rep[r] = Sets::heavier(&toks, sets.rep[r], x);
+            sets.next.swap(x as usize, r);
+        }
+        sets.sync(&toks);
+        Ok(IncrementalDedup {
+            toks,
+            sets,
             blocks,
             generation: state.generation,
+            materialisations: 0,
         })
     }
 
@@ -177,31 +333,56 @@ impl IncrementalDedup {
     /// pairs batch collapse would test.
     pub fn insert(&mut self, record: TokenizedRecord, s: &dyn SufficientPredicate) -> u32 {
         self.generation += 1;
-        let id = self.uf.push();
-        debug_assert_eq!(id as usize, self.toks.len());
         let keys = s.blocking_keys(&record);
+        self.toks.push(record);
+        let (toks, sets) = (&self.toks[..], &mut self.sets);
+        let id = sets.push(toks);
+        let record = &toks[id as usize];
         for &key in &keys {
             let block = self.blocks.entry(key).or_default();
             if s.exact_on_key() {
                 if let Some(&other) = block.first() {
-                    self.uf.union(id, other);
+                    sets.union(other, toks);
                 }
             } else {
                 for &other in block.iter() {
-                    if !self.uf.same(id, other) && s.matches(&record, &self.toks[other as usize]) {
-                        self.uf.union(id, other);
+                    if !sets.uf.same(id, other) && s.matches(record, &toks[other as usize]) {
+                        sets.union(other, toks);
                     }
                 }
             }
             block.push(id);
         }
-        self.toks.push(record);
         id
     }
 
-    /// Materialize the current collapsed groups (decreasing weight).
+    /// Apply the inserts made since the last call to the ordered index
+    /// that [`ranked`](Self::ranked) reads: O(d log n) after d inserts.
+    pub fn sync_index(&mut self) {
+        self.sets.sync(&self.toks);
+    }
+
+    /// The collapsed groups in the order of [`groups`](Self::groups),
+    /// read from the maintained index — the k-prefix costs O(k). Panics
+    /// when records were inserted since the last `sync_index`.
+    pub fn ranked(&self) -> impl Iterator<Item = &GroupSummary> {
+        assert!(self.sets.dirty.is_empty(), "ranked() before sync_index()");
+        self.sets.index.iter()
+    }
+
+    /// How many times [`groups`](Self::groups) has rebuilt every group
+    /// from scratch — the cost [`ranked`](Self::ranked) exists to avoid.
+    pub fn materialisations(&self) -> u64 {
+        self.materialisations
+    }
+
+    /// Materialize the current collapsed groups (decreasing weight),
+    /// from the union-find and the records alone: the reference the
+    /// maintained aggregates are tested against.
     pub fn groups(&mut self) -> Vec<FinalGroup> {
+        self.materialisations += 1;
         let mut out: Vec<FinalGroup> = self
+            .sets
             .uf
             .groups()
             .into_iter()
@@ -277,12 +458,6 @@ impl IncrementalDedup {
     /// Access the inserted records (for mapping groups back to data).
     pub fn records(&self) -> &[TokenizedRecord] {
         &self.toks
-    }
-}
-
-impl Default for IncrementalDedup {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -440,6 +615,43 @@ mod tests {
         fn matches(&self, _: &TokenizedRecord, _: &TokenizedRecord) -> bool {
             false
         }
+    }
+
+    #[test]
+    fn bridge_record_resums_in_ascending_id_order() {
+        // The sum depends on the order of addition in the last bit;
+        // record 3 bridges {0, 2} (first field) and {1} (second field).
+        let s = topk_predicates::OrSufficient::new(
+            topk_predicates::ExactFieldsMatch::new("first", vec![topk_records::FieldId(0)]),
+            topk_predicates::ExactFieldsMatch::new("second", vec![topk_records::FieldId(1)]),
+        );
+        let mut inc = IncrementalDedup::new();
+        for (a, b, w) in [
+            ("a", "x", 0.1),
+            ("b", "y", 0.2),
+            ("a", "z", 0.3),
+            ("a", "y", 0.4),
+        ] {
+            inc.insert(TokenizedRecord::from_fields(&[a.into(), b.into()], w), &s);
+        }
+        inc.sync_index();
+        let got: Vec<GroupSummary> = inc.ranked().copied().collect();
+        let want = inc.groups();
+        assert_eq!((got.len(), want.len()), (1, 1));
+        assert_eq!(
+            got[0].weight.to_bits(),
+            (0.1f64 + 0.2 + 0.3 + 0.4).to_bits()
+        );
+        assert_eq!(got[0].weight.to_bits(), want[0].weight.to_bits());
+        assert_eq!((got[0].rep, got[0].size), (3, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "before sync_index")]
+    fn ranked_refuses_to_read_a_stale_index() {
+        let mut inc = IncrementalDedup::new();
+        inc.insert(TokenizedRecord::from_fields(&["a".into()], 1.0), &NoBlock);
+        let _ = inc.ranked().count();
     }
 
     #[test]

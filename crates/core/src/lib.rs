@@ -84,7 +84,7 @@ pub use bounds::{
     LowerBoundResult, PruneResult,
 };
 pub use dedup::{deduplicate, DedupResult};
-pub use incremental::{IncrementalDedup, IncrementalState};
+pub use incremental::{GroupSummary, IncrementalDedup, IncrementalState};
 pub use pipeline::{FinalGroup, PipelineConfig, PipelineOutcome, PrunedDedup, PruningMode};
 pub use queries::{
     AnswerGroup, AnswerMethod, RankEntry, RankResult, ThresholdedRankQuery, TopKAnswer, TopKQuery,

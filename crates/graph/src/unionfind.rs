@@ -1,7 +1,7 @@
 //! Disjoint-set forest with path halving and union by size.
 
 /// Union-find over `0..n`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,

@@ -10,8 +10,8 @@
 //! two shards** (see `crate::shard` for the soundness argument). That
 //! static partition is what makes the whole design equivalence-
 //! preserving: each shard runs the ordinary incremental collapse over
-//! its own records, and a TopK answer is a cross-shard merge of
-//! per-shard group lists — byte-identical to a single unsharded engine
+//! its own records, and a TopK answer is a cross-shard merge of the
+//! shards' ordered group indexes — byte-identical to a single engine
 //! over the same stream, at every shard count (proved by
 //! `tests/serve_shards.rs` and `tests/prop_shards.rs`).
 //!
@@ -52,9 +52,10 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuar
 use std::time::{Duration, Instant};
 
 use topk_approx::{ApproxGroup, Population, SampleEntry, Sketch};
-use topk_core::{IncrementalDedup, IncrementalState, Parallelism, TopKRankQuery};
+use topk_core::{GroupSummary, IncrementalDedup, IncrementalState, Parallelism, TopKRankQuery};
 use topk_graph::UnionFind;
 use topk_obs::SloTracker;
+use topk_predicates::PredicateStack;
 use topk_records::{FieldId, TokenizedRecord};
 use topk_text::CorpusStats;
 
@@ -139,30 +140,17 @@ struct Schema {
     field: FieldId,
 }
 
-/// One group of one shard, as the cross-shard merge sees it. `Copy` so
-/// merge candidates detach from the shard borrow.
-#[derive(Debug, Clone, Copy)]
-struct GroupView {
-    weight: f64,
-    size: u32,
-    /// Representative's global record id — the cross-shard tie-break.
-    rep_gid: u32,
-    /// Representative's local id, for fetching its text.
-    rep_local: u32,
-}
-
 /// One engine shard: its own collapse, its own pending queue.
 struct Shard {
     inc: IncrementalDedup,
     /// Global record id of each local id; strictly increasing, so local
     /// id order equals global ingest order restricted to this shard.
     gids: Vec<u32>,
+    /// Blocking-partition key ([`ShardRouter::key`]) of each local id.
+    keys: Vec<u64>,
     /// Ingested but not yet collapsed records, tagged with their global
     /// record id (rid) so flush can restore the global ingest order.
     pending: Vec<(u64, TokenizedRecord)>,
-    /// Group views sorted (weight desc, rep asc), rebuilt lazily after
-    /// the collapse changes.
-    groups: Option<Vec<GroupView>>,
     /// Bottom-m sample sketch over this shard's collapsed records,
     /// maintained at flush; merged across shards at approximate-query
     /// time (`docs/APPROX.md`).
@@ -175,8 +163,9 @@ struct Core {
     /// gid -> (shard index, local id).
     global: Vec<(u32, u32)>,
     /// Document frequencies over distinct match-field values, folded at
-    /// flush (`seen` holds hashes of values already counted).
-    stats: CorpusStats,
+    /// flush (`seen` holds hashes of values already counted). Shared
+    /// with each predicate stack, which is dropped before the next fold.
+    stats: Arc<CorpusStats>,
     seen: HashSet<u64>,
     /// All collapsed records in gid order, gathered for TopR when there
     /// is more than one shard; invalidated by every flush.
@@ -301,8 +290,8 @@ impl Engine {
                 Mutex::new(Shard {
                     inc: IncrementalDedup::new(),
                     gids: Vec::new(),
+                    keys: Vec::new(),
                     pending: Vec::new(),
-                    groups: None,
                     sample: Sketch::with_defaults(),
                 })
             })
@@ -315,7 +304,7 @@ impl Engine {
             core: RwLock::new(Core {
                 shards,
                 global: Vec::new(),
-                stats: CorpusStats::new(),
+                stats: Arc::new(CorpusStats::new()),
                 seen: HashSet::new(),
                 topr_toks: None,
                 max_weight: 0.0,
@@ -834,6 +823,16 @@ impl Engine {
 
     // ---- flush ----------------------------------------------------------
 
+    /// The predicate stack under the statistics folded so far.
+    fn stack(&self, stats: &Arc<CorpusStats>, field: FieldId) -> PredicateStack {
+        stack_from_stats(
+            Arc::clone(stats),
+            field,
+            self.cfg.max_df,
+            self.cfg.min_overlap,
+        )
+    }
+
     /// Merge every pending record into its shard's collapse under the
     /// *current* corpus statistics. Requires the core write lock (shard
     /// mutexes are reached via `get_mut` — no waiting). Per-shard
@@ -866,11 +865,12 @@ impl Engine {
         // order-independent (set-guarded counting), so folding shard by
         // shard produces exactly the statistics the unsharded engine
         // folds at ingest time.
+        let folded = Arc::make_mut(stats);
         for s in shard_refs.iter() {
             for (_, t) in &s.pending {
                 let f = t.field(field);
                 if seen.insert(topk_text::hash::hash_str(&f.text)) {
-                    stats.add_document(&f.words);
+                    folded.add_document(&f.words);
                 }
                 if t.weight() > *max_weight {
                     *max_weight = t.weight();
@@ -896,23 +896,18 @@ impl Engine {
         }
         // One predicate stack under the settled statistics: every shard
         // collapses under the same statistics a single engine would use.
-        let stack = stack_from_stats(
-            Arc::new(stats.clone()),
-            field,
-            self.cfg.max_df,
-            self.cfg.min_overlap,
-        );
+        let stack = self.stack(stats, field);
         let s_pred = stack.levels[0].0.as_ref();
         let insert = |shard: &mut Shard, gids: Vec<u32>| {
             for ((_, t), gid) in shard.pending.drain(..).zip(gids) {
-                shard
-                    .sample
-                    .offer(gid as u64, ShardRouter::key(&t.field(field).text), &t);
+                let key = ShardRouter::key(&t.field(field).text);
+                shard.sample.offer(gid as u64, key, &t);
                 let local = shard.inc.insert(t, s_pred);
                 debug_assert_eq!(local as usize, shard.gids.len());
                 shard.gids.push(gid);
+                shard.keys.push(key);
             }
-            shard.groups = None;
+            shard.inc.sync_index();
         };
         let work: Vec<(&mut Shard, Vec<u32>)> = shard_refs
             .into_iter()
@@ -1234,12 +1229,7 @@ impl Engine {
                 topk_approx::merge_sketches(shard_refs.iter().map(|s| &s.sample), m);
             sp.record("sampled", sample.len());
             drop(sp);
-            let stack = stack_from_stats(
-                Arc::new(stats.clone()),
-                field,
-                self.cfg.max_df,
-                self.cfg.min_overlap,
-            );
+            let stack = self.stack(stats, field);
             let s_pred = stack.levels[0].0.as_ref();
             let used = sample.len();
             (
@@ -1272,27 +1262,22 @@ impl Engine {
             .iter()
             .map(|p| (p % n_shards as u64) as usize)
             .collect();
-        self.build_views(shards, Some(&touched));
         let mut cands: Vec<ApproxGroup> = Vec::new();
         for (si, mu) in shards.iter_mut().enumerate() {
             if !touched.contains(&si) {
                 continue;
             }
             let s = Self::shard_mut(mu);
-            let Some(views) = s.groups.as_ref() else {
-                continue; // unreachable: views were built for touched shards
-            };
-            for g in views {
-                let text = &s.inc.records()[g.rep_local as usize].field(field).text;
-                if parts.contains(&ShardRouter::key(text)) {
+            for g in s.inc.ranked() {
+                if parts.contains(&s.keys[g.rep as usize]) {
                     cands.push(ApproxGroup {
                         estimate: g.weight,
                         lo: g.weight,
                         hi: g.weight,
                         size: g.size,
                         escalated: true,
-                        rep_rid: g.rep_gid as u64,
-                        rep_text: text.clone(),
+                        rep_rid: s.gids[g.rep as usize] as u64,
+                        rep_text: s.inc.records()[g.rep as usize].field(field).text.clone(),
                     });
                 }
             }
@@ -1358,57 +1343,15 @@ impl Engine {
         Ok(render(items, parts.len(), used, certified))
     }
 
-    /// Rebuild group views for shards whose collapse changed since the
-    /// last query (parallel: each rebuild sorts its group list). With
-    /// `only`, restricted to those shard indices.
-    fn build_views(&self, shards: &mut [Mutex<Shard>], only: Option<&HashSet<usize>>) {
-        let build = |s: &mut Shard| {
-            let views: Vec<GroupView> = s
-                .inc
-                .groups()
-                .into_iter()
-                .map(|g| GroupView {
-                    weight: g.weight,
-                    size: g.members.len() as u32,
-                    rep_gid: s.gids[g.rep as usize],
-                    rep_local: g.rep,
-                })
-                .collect();
-            // groups() sorts (weight desc, local rep asc); local rep
-            // order equals global rep order because gids are strictly
-            // increasing per shard.
-            s.groups = Some(views);
-        };
-        let stale: Vec<&mut Shard> = shards
-            .iter_mut()
-            .enumerate()
-            .filter(|(i, _)| only.map_or(true, |set| set.contains(i)))
-            .map(|(_, m)| Self::shard_mut(m))
-            .filter(|s| s.groups.is_none())
-            .collect();
-        if self.cfg.parallelism.is_sequential() || stale.len() <= 1 {
-            for s in stale {
-                build(s);
-            }
-        } else {
-            std::thread::scope(|scope| {
-                let build = &build;
-                for s in stale {
-                    scope.spawn(move || build(s));
-                }
-            });
-        }
-    }
-
-    /// Cross-shard TopK merge. Per-shard group lists are each sorted
-    /// (weight desc, rep asc) — identical to the order a single engine's
-    /// pruned query renders, because every survivor of the prune with
-    /// weight at or above the k-th group is kept unconditionally, so the
-    /// rendered top k equals the global top k of *all* groups. Shards
-    /// are visited in descending best-group weight; once k candidates
-    /// are held, a shard whose best group is strictly below the current
-    /// k-th weight (and therefore every shard after it) is skipped
-    /// whole — the `shard_skips` metric counts them.
+    /// Cross-shard TopK merge. Each shard's index is ordered (weight
+    /// desc, rep asc) — identical to the order a single engine's pruned
+    /// query renders, because every survivor of the prune with weight at
+    /// or above the k-th group is kept unconditionally, so the rendered
+    /// top k equals the global top k of *all* groups. Shards are visited
+    /// in descending best-group weight; once k candidates are held, a
+    /// shard whose best group is strictly below the current k-th weight
+    /// (and therefore every shard after it) is skipped whole — the
+    /// `shard_skips` metric counts them.
     fn compute_topk(
         &self,
         core: &mut Core,
@@ -1417,96 +1360,80 @@ impl Engine {
         deadline: Option<Instant>,
         mut prof: Option<&mut QueryProfile>,
     ) -> Result<Json, String> {
-        let Core { shards, .. } = core;
-        {
-            let all_empty = shards.iter_mut().all(|m| Self::shard_mut(m).inc.is_empty());
-            if all_empty {
-                if let Some(p) = prof {
-                    p.shards = Some(ShardProfile {
-                        total: shards.len(),
-                        scanned: 0,
-                        skipped: 0,
-                        empty: shards.len(),
-                    });
-                }
-                return Ok(obj(vec![("groups", Json::Arr(Vec::new()))]));
-            }
-        }
+        let Core { shards, global, .. } = core;
+        let shards: Vec<&Shard> = shards.iter_mut().map(|m| &*Self::shard_mut(m)).collect();
         assert!(k >= 1, "K must be at least 1");
         self.check_deadline(deadline, "build_views")?;
         let t_views = Instant::now();
-        self.build_views(shards, None);
+        // One shard's k-prefix with `rep` as a global record id — the
+        // cross-shard tie-break. The rank order survives the mapping:
+        // gids are strictly increasing per shard.
+        let prefix = |si: usize| {
+            let s = shards[si];
+            let global_rep = |g: &GroupSummary| GroupSummary {
+                rep: s.gids[g.rep as usize],
+                ..*g
+            };
+            s.inc.ranked().take(k).map(global_rep)
+        };
+        let mut visit: Vec<(GroupSummary, usize)> = (0..shards.len())
+            .filter_map(|si| Some((prefix(si).next()?, si)))
+            .collect();
+        visit.sort();
         if let Some(p) = prof.as_deref_mut() {
             p.stage("build_views", t_views.elapsed());
         }
         self.check_deadline(deadline, "merge")?;
         let t_merge = Instant::now();
-        static EMPTY_VIEWS: Vec<GroupView> = Vec::new();
-        let views: Vec<&Vec<GroupView>> = shards
-            .iter_mut()
-            .map(|m| Self::shard_mut(m).groups.as_ref().unwrap_or(&EMPTY_VIEWS))
-            .collect();
-        let mut visit: Vec<usize> = (0..views.len()).filter(|&i| !views[i].is_empty()).collect();
-        visit.sort_by(|&a, &b| {
-            views[b][0]
-                .weight
-                .total_cmp(&views[a][0].weight)
-                .then(views[a][0].rep_gid.cmp(&views[b][0].rep_gid))
-        });
-        let by_rank = |a: &(u32, GroupView), b: &(u32, GroupView)| {
-            b.1.weight
-                .total_cmp(&a.1.weight)
-                .then(a.1.rep_gid.cmp(&b.1.rep_gid))
-        };
-        let mut cands: Vec<(u32, GroupView)> = Vec::new();
+        let mut cands: Vec<GroupSummary> = Vec::new();
         let mut skips = 0u64;
         let mut scanned = 0usize;
         let mut groups_scanned = 0u64;
-        for (pos, &si) in visit.iter().enumerate() {
-            if cands.len() >= k {
-                // Strict <: a shard whose best group ties the current
-                // k-th weight must still merge — the global tie-break is
-                // by representative id.
-                if views[si][0].weight < cands[k - 1].1.weight {
-                    skips += (visit.len() - pos) as u64;
-                    break;
-                }
+        for (pos, &(best, si)) in visit.iter().enumerate() {
+            // Strict <: a shard whose best group ties the current k-th
+            // weight must still merge — the global tie-break is by
+            // representative id.
+            if cands.len() >= k && best.weight < cands[k - 1].weight {
+                skips += (visit.len() - pos) as u64;
+                break;
             }
             // The global top k holds at most k groups of any one shard,
-            // so each shard's sorted k-prefix suffices.
+            // so merging each shard's k-prefix into the k held suffices.
             scanned += 1;
-            groups_scanned += views[si].len().min(k) as u64;
-            cands.extend(views[si].iter().take(k).map(|g| (si as u32, *g)));
-            cands.sort_by(by_rank);
-            cands.truncate(k);
+            groups_scanned += shards[si].inc.group_count().min(k) as u64;
+            for g in prefix(si) {
+                // In rank order: once one falls past k, the rest do.
+                let at = cands.partition_point(|held| *held < g);
+                if at >= k {
+                    break;
+                }
+                cands.insert(at, g);
+                cands.truncate(k);
+            }
         }
         if skips > 0 {
             self.metrics.shard_skips.fetch_add(skips, Ordering::Relaxed);
         }
         if let Some(p) = prof.as_deref_mut() {
             p.shards = Some(ShardProfile {
-                total: views.len(),
+                total: shards.len(),
                 scanned,
                 skipped: skips as usize,
-                empty: views.len() - visit.len(),
+                empty: shards.len() - visit.len(),
             });
             p.groups_scanned = groups_scanned;
             p.groups_returned = cands.len();
         }
-        drop(views);
         let mut items = Vec::with_capacity(cands.len());
-        for (rank, (si, g)) in cands.iter().enumerate() {
-            let s = Self::shard_mut(&mut shards[*si as usize]);
-            let rep = s.inc.records()[g.rep_local as usize]
-                .field(field)
-                .text
-                .clone();
+        for (rank, g) in cands.iter().enumerate() {
+            let (si, local) = global[g.rep as usize];
+            let rep = &shards[si as usize].inc.records()[local as usize];
             items.push(obj(vec![
                 ("rank", Json::Num((rank + 1) as f64)),
                 ("weight", Json::Num(g.weight)),
                 ("size", Json::Num(g.size as f64)),
-                ("rep_id", Json::Num(g.rep_gid as f64)),
-                ("rep", Json::Str(rep)),
+                ("rep_id", Json::Num(g.rep as f64)),
+                ("rep", Json::Str(rep.field(field).text.clone())),
             ]));
         }
         if let Some(p) = prof {
@@ -1558,12 +1485,7 @@ impl Engine {
         }
         self.check_deadline(deadline, "gather")?;
         let t_gather = Instant::now();
-        let stack = stack_from_stats(
-            Arc::new(stats.clone()),
-            field,
-            self.cfg.max_df,
-            self.cfg.min_overlap,
-        );
+        let stack = self.stack(stats, field);
         let toks: &[TokenizedRecord] = if shards.len() == 1 {
             Self::shard_mut(&mut shards[0]).inc.records()
         } else {
@@ -2191,8 +2113,8 @@ impl Engine {
             out.push(Shard {
                 inc,
                 gids: std::mem::take(&mut s_gids[si]),
+                keys: Vec::new(),
                 pending: Vec::new(),
-                groups: None,
                 sample: Sketch::with_defaults(),
             });
         }
@@ -2202,10 +2124,10 @@ impl Engine {
         // ingested this stream live would hold.
         let mut max_weight = 0.0f64;
         for (gid, t) in toks.iter().enumerate() {
-            let (si, _) = global[gid];
-            out[si as usize]
-                .sample
-                .offer(gid as u64, ShardRouter::key(&t.field(field).text), t);
+            let shard = &mut out[global[gid].0 as usize];
+            let key = ShardRouter::key(&t.field(field).text);
+            shard.sample.offer(gid as u64, key, t);
+            shard.keys.push(key);
             if t.weight() > max_weight {
                 max_weight = t.weight();
             }
@@ -2256,7 +2178,7 @@ impl Engine {
         *core = Core {
             shards: new_shards.into_iter().map(Mutex::new).collect(),
             global,
-            stats,
+            stats: Arc::new(stats),
             seen,
             topr_toks: None,
             max_weight,
@@ -2653,6 +2575,35 @@ mod tests {
             ..Default::default()
         })
         .unwrap()
+    }
+
+    #[test]
+    fn post_write_misses_read_the_index_never_the_from_scratch_groups() {
+        let e = sharded(2, 0);
+        e.ingest(vec![
+            row("grace hopper"),
+            row("grace  hopper"),
+            row("ada lovelace"),
+            row("alan turing"),
+        ])
+        .unwrap();
+        let before = e.query_topk(2).unwrap();
+        let groups = before.get("groups").unwrap().as_arr().unwrap();
+        assert_eq!(groups[0].get("size").unwrap().as_usize(), Some(2));
+        // A burst, then the same query: a miss that must see the burst.
+        e.ingest(vec![row("ada lovelace"), row("ada  lovelace")])
+            .unwrap();
+        let after = e.query_topk(2).unwrap();
+        let groups = after.get("groups").unwrap().as_arr().unwrap();
+        assert_eq!(groups[0].get("size").unwrap().as_usize(), Some(3));
+        assert_eq!(groups[0].get("rep").unwrap().as_str(), Some("ada lovelace"));
+        // The escalation gather of an approximate miss reads it too.
+        e.query_topk_approx(2, 0.5).unwrap();
+        assert_eq!(Metrics::get(&e.metrics.cache_misses), 3);
+        let mut core = e.write_core();
+        for m in core.shards.iter_mut() {
+            assert_eq!(Engine::shard_mut(m).inc.materialisations(), 0);
+        }
     }
 
     #[test]

@@ -455,7 +455,7 @@ impl Journal {
     }
 
     /// Fault injection: make every future append fail (`true`) or
-    /// restore normal operation (`false`). See [`Journal::fail_appends`].
+    /// restore normal operation (`false`). See `Journal::fail_appends`.
     pub fn set_fail_appends(&self, fail: bool) {
         self.fail_appends.store(fail, Ordering::Relaxed);
     }

@@ -192,7 +192,7 @@ pub(crate) fn take_frame(buf: &mut Vec<u8>) -> Result<Option<Frame>, String> {
 /// The primary's in-memory window of encoded journal-entry payloads,
 /// sequence-numbered from process start. Publishers append under the
 /// engine's core lock (so log order equals apply order); `replicate`
-/// stream threads block on [`ReplLog::wait_from`].
+/// stream threads block on `ReplLog::wait_from`.
 #[derive(Debug)]
 pub struct ReplLog {
     inner: Mutex<LogInner>,
