@@ -93,7 +93,7 @@ fn main() {
         ("canopy t1=0.2 t2=0.7", CanopyConfig { t1: 0.2, t2: 0.7 }),
         ("canopy t1=0.4 t2=0.8", CanopyConfig { t1: 0.4, t2: 0.8 }),
     ] {
-        let canopies = build_canopies(&refs, |r| r.field(FieldId(0)).words.clone(), cfg);
+        let canopies = build_canopies(&refs, |r| r.field(FieldId(0)).words().clone(), cfg);
         let pairs: HashSet<(u32, u32)> = canopies.candidate_pairs().into_iter().collect();
         evaluate(label, &pairs, &truth_pairs, n, &mut table);
     }

@@ -70,8 +70,8 @@ pub fn train_scorer(data: &Dataset, toks: &[TokenizedRecord], seed: u64) -> Lear
         .iter()
         .map(|t| {
             let f = t.field(FieldId(0));
-            let mut all = f.words.as_slice().to_vec();
-            all.extend_from_slice(f.qgrams3.as_slice());
+            let mut all = f.words().as_slice().to_vec();
+            all.extend_from_slice(f.qgrams3().as_slice());
             topk_text::TokenSet::from_tokens(all)
         })
         .collect();

@@ -31,7 +31,7 @@ impl FeatureExtractor {
             .iter()
             .map(|&f| {
                 Arc::new(CorpusStats::from_documents(
-                    corpus.iter().map(|r| &r.field(f).words),
+                    corpus.iter().map(|r| r.field(f).words()),
                 ))
             })
             .collect();
@@ -57,14 +57,14 @@ impl FeatureExtractor {
         for (k, &f) in self.fields.iter().enumerate() {
             let (fa, fb) = (a.field(f), b.field(f));
             let stats = &self.stats[k];
-            out.push(jaccard(&fa.words, &fb.words));
-            out.push(jaccard(&fa.qgrams3, &fb.qgrams3));
-            out.push(overlap_coefficient(&fa.words, &fb.words));
+            out.push(jaccard(fa.words(), fb.words()));
+            out.push(jaccard(fa.qgrams3(), fb.qgrams3()));
+            out.push(overlap_coefficient(fa.words(), fb.words()));
             out.push(jaro_winkler(&fa.text, &fb.text));
             // cosine can exceed 1 by a few ulps on identical inputs
-            out.push(tfidf_cosine(&fa.words, &fb.words, stats).clamp(0.0, 1.0));
+            out.push(tfidf_cosine(fa.words(), fb.words(), stats).clamp(0.0, 1.0));
             out.push(custom_name_similarity(fa, fb, stats));
-            out.push(weighted_jaccard(&fa.words, &fb.words, stats).clamp(0.0, 1.0));
+            out.push(weighted_jaccard(fa.words(), fb.words(), stats).clamp(0.0, 1.0));
             out.push(match (last_word(&fa.text), last_word(&fb.text)) {
                 (Some(x), Some(y)) => jaro_winkler(x, y),
                 _ => 0.0,
@@ -90,8 +90,8 @@ fn custom_name_similarity(
     if max_idf <= 0.0 {
         return 0.0;
     }
-    fa.words
-        .intersection(&fb.words)
+    fa.words()
+        .intersection(fb.words())
         .map(|t| stats.idf(t) / max_idf)
         .fold(0.0, f64::max)
 }

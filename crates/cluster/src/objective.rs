@@ -305,8 +305,8 @@ mod parallel_tests {
         let weights: Vec<f64> = (0..100).map(|i| 0.5 + (i % 5) as f64).collect();
         let scorer = |a: &TokenizedRecord, b: &TokenizedRecord| {
             topk_text::sim::jaccard(
-                &a.field(topk_records::FieldId(0)).words,
-                &b.field(topk_records::FieldId(0)).words,
+                a.field(topk_records::FieldId(0)).words(),
+                b.field(topk_records::FieldId(0)).words(),
             ) - 0.25
         };
         let seq = PairScores::from_scorer_weighted_par(
@@ -343,8 +343,8 @@ mod parallel_tests {
         let weights: Vec<f64> = (0..80).map(|i| 1.0 + (i % 3) as f64).collect();
         let scorer = |a: &TokenizedRecord, b: &TokenizedRecord| {
             topk_text::sim::jaccard(
-                &a.field(topk_records::FieldId(0)).words,
-                &b.field(topk_records::FieldId(0)).words,
+                a.field(topk_records::FieldId(0)).words(),
+                b.field(topk_records::FieldId(0)).words(),
             ) - 0.3
         };
         let par = PairScores::from_scorer_weighted(&items, &weights, &scorer);

@@ -34,9 +34,9 @@ pub enum Kernel {
 impl Kernel {
     fn eval(self, a: &topk_records::TokenizedField, b: &topk_records::TokenizedField) -> f64 {
         match self {
-            Kernel::WordJaccard => jaccard(&a.words, &b.words),
-            Kernel::QgramJaccard => jaccard(&a.qgrams3, &b.qgrams3),
-            Kernel::QgramOverlap => overlap_coefficient(&a.qgrams3, &b.qgrams3),
+            Kernel::WordJaccard => jaccard(a.words(), b.words()),
+            Kernel::QgramJaccard => jaccard(a.qgrams3(), b.qgrams3()),
+            Kernel::QgramOverlap => overlap_coefficient(a.qgrams3(), b.qgrams3()),
             Kernel::JaroWinkler => jaro_winkler(&a.text, &b.text),
             Kernel::MongeElkan => monge_elkan_sym(&a.text, &b.text),
             Kernel::SmithWaterman => smith_waterman(&a.text, &b.text),

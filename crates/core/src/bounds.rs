@@ -369,12 +369,12 @@ mod tests {
             "share-word"
         }
         fn candidate_tokens(&self, r: &TokenizedRecord) -> TokenSet {
-            r.field(topk_records::FieldId(0)).words.clone()
+            r.field(topk_records::FieldId(0)).words().clone()
         }
         fn matches(&self, a: &TokenizedRecord, b: &TokenizedRecord) -> bool {
             a.field(topk_records::FieldId(0))
-                .words
-                .intersection_size(&b.field(topk_records::FieldId(0)).words)
+                .words()
+                .intersection_size(b.field(topk_records::FieldId(0)).words())
                 >= 1
         }
     }
@@ -520,12 +520,12 @@ mod fast_prune_tests {
             "share-word"
         }
         fn candidate_tokens(&self, r: &TokenizedRecord) -> TokenSet {
-            r.field(topk_records::FieldId(0)).words.clone()
+            r.field(topk_records::FieldId(0)).words().clone()
         }
         fn matches(&self, a: &TokenizedRecord, b: &TokenizedRecord) -> bool {
             a.field(topk_records::FieldId(0))
-                .words
-                .intersection_size(&b.field(topk_records::FieldId(0)).words)
+                .words()
+                .intersection_size(b.field(topk_records::FieldId(0)).words())
                 >= 1
         }
     }

@@ -136,8 +136,8 @@ mod tests {
 
     fn scorer(a: &TokenizedRecord, b: &TokenizedRecord) -> f64 {
         let name_sim = topk_text::sim::overlap_coefficient(
-            &a.field(FieldId(0)).qgrams3,
-            &b.field(FieldId(0)).qgrams3,
+            a.field(FieldId(0)).qgrams3(),
+            b.field(FieldId(0)).qgrams3(),
         );
         let clean = a.field(FieldId(2)).text == b.field(FieldId(2)).text
             && a.field(FieldId(3)).text == b.field(FieldId(3)).text;

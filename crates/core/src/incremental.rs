@@ -270,34 +270,43 @@ impl IncrementalDedup {
     /// union-find and blocking index are restored as persisted. Returns
     /// an error when the state is internally inconsistent.
     pub fn from_state(state: IncrementalState) -> Result<Self, String> {
-        let n = state.records.len();
-        if state.parent.len() != n {
-            return Err(format!(
-                "state has {n} records but {} union-find entries",
-                state.parent.len()
-            ));
-        }
-        let uf = UnionFind::from_vec(state.parent)?;
-        let mut blocks = std::collections::HashMap::with_capacity(state.blocks.len());
-        for (key, members) in state.blocks {
-            if let Some(&bad) = members.iter().find(|&&m| m as usize >= n) {
-                return Err(format!("block {key:#x} references record {bad} >= {n}"));
-            }
-            if blocks.insert(key, members).is_some() {
-                return Err(format!("duplicate block key {key:#x}"));
-            }
-        }
-        if state.generation < n as u64 {
-            return Err(format!(
-                "generation {} below record count {n}",
-                state.generation
-            ));
-        }
         let toks: Vec<TokenizedRecord> = state
             .records
             .iter()
             .map(|(fields, w)| TokenizedRecord::from_fields(fields, *w))
             .collect();
+        Self::from_records(toks, state.parent, state.blocks, state.generation)
+    }
+
+    /// [`from_state`](Self::from_state) for a caller that has already
+    /// tokenised the state's records, its own way: they are taken as
+    /// they are, one per union-find entry, in insertion order.
+    pub fn from_records(
+        toks: Vec<TokenizedRecord>,
+        parent: Vec<u32>,
+        blocks: Vec<(u64, Vec<u32>)>,
+        generation: u64,
+    ) -> Result<Self, String> {
+        let n = toks.len();
+        if parent.len() != n {
+            return Err(format!(
+                "state has {n} records but {} union-find entries",
+                parent.len()
+            ));
+        }
+        let uf = UnionFind::from_vec(parent)?;
+        let mut by_key = std::collections::HashMap::with_capacity(blocks.len());
+        for (key, members) in blocks {
+            if let Some(&bad) = members.iter().find(|&&m| m as usize >= n) {
+                return Err(format!("block {key:#x} references record {bad} >= {n}"));
+            }
+            if by_key.insert(key, members).is_some() {
+                return Err(format!("duplicate block key {key:#x}"));
+            }
+        }
+        if generation < n as u64 {
+            return Err(format!("generation {generation} below record count {n}"));
+        }
         // Aggregates in one ascending pass — the fold and the `max_by`
         // of `groups()` — then every root into the index.
         let mut sets = Sets {
@@ -318,8 +327,8 @@ impl IncrementalDedup {
         Ok(IncrementalDedup {
             toks,
             sets,
-            blocks,
-            generation: state.generation,
+            blocks: by_key,
+            generation,
             materialisations: 0,
         })
     }

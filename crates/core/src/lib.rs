@@ -54,8 +54,8 @@
 //! // Any `PairScorer` works; closures are fine.
 //! let scorer = |a: &TokenizedRecord, b: &TokenizedRecord| {
 //!     topk_text::sim::overlap_coefficient(
-//!         &a.field(FieldId(0)).qgrams3,
-//!         &b.field(FieldId(0)).qgrams3,
+//!         a.field(FieldId(0)).qgrams3(),
+//!         b.field(FieldId(0)).qgrams3(),
 //!     ) - 0.5
 //! };
 //!

@@ -732,8 +732,8 @@ mod tests {
     /// most 3-grams and clean fields agree.
     fn test_scorer(a: &TokenizedRecord, b: &TokenizedRecord) -> f64 {
         let name_sim = topk_text::sim::overlap_coefficient(
-            &a.field(FieldId(0)).qgrams3,
-            &b.field(FieldId(0)).qgrams3,
+            a.field(FieldId(0)).qgrams3(),
+            b.field(FieldId(0)).qgrams3(),
         );
         let clean = a.field(FieldId(2)).text == b.field(FieldId(2)).text
             && a.field(FieldId(3)).text == b.field(FieldId(3)).text;
@@ -830,8 +830,8 @@ mod method_tests {
 
     fn scorer(a: &TokenizedRecord, b: &TokenizedRecord) -> f64 {
         let name_sim = topk_text::sim::overlap_coefficient(
-            &a.field(FieldId(0)).qgrams3,
-            &b.field(FieldId(0)).qgrams3,
+            a.field(FieldId(0)).qgrams3(),
+            b.field(FieldId(0)).qgrams3(),
         );
         let clean = a.field(FieldId(2)).text == b.field(FieldId(2)).text
             && a.field(FieldId(3)).text == b.field(FieldId(3)).text;
@@ -910,8 +910,8 @@ mod sparse_path_tests {
 
     fn scorer(a: &TokenizedRecord, b: &TokenizedRecord) -> f64 {
         let name_sim = topk_text::sim::overlap_coefficient(
-            &a.field(FieldId(0)).qgrams3,
-            &b.field(FieldId(0)).qgrams3,
+            a.field(FieldId(0)).qgrams3(),
+            b.field(FieldId(0)).qgrams3(),
         );
         let clean = a.field(FieldId(2)).text == b.field(FieldId(2)).text
             && a.field(FieldId(3)).text == b.field(FieldId(3)).text;

@@ -146,7 +146,7 @@ mod tests {
     }
 
     fn words(r: &TokenizedRecord) -> TokenSet {
-        r.field(FieldId(0)).words.clone()
+        r.field(FieldId(0)).words().clone()
     }
 
     #[test]

@@ -178,12 +178,12 @@ mod tests {
                 "share-word"
             }
             fn blocking_keys(&self, r: &TokenizedRecord) -> Vec<u64> {
-                r.field(FieldId(0)).words.as_slice().to_vec()
+                r.field(FieldId(0)).words().as_slice().to_vec()
             }
             fn matches(&self, a: &TokenizedRecord, b: &TokenizedRecord) -> bool {
                 a.field(FieldId(0))
-                    .words
-                    .intersection_size(&b.field(FieldId(0)).words)
+                    .words()
+                    .intersection_size(b.field(FieldId(0)).words())
                     >= 1
             }
         }

@@ -132,7 +132,7 @@ impl RareNameSufficient {
 
     fn all_rare(&self, r: &TokenizedRecord) -> bool {
         let f = r.field(self.field);
-        if f.words.is_empty() {
+        if f.words().is_empty() {
             return false;
         }
         f.text
@@ -213,8 +213,8 @@ impl SufficientPredicate for InitialsLastCoauthorSufficient {
         last_eq
             && initials_match(&fa.text, &fb.text)
             && a.field(self.coauthors)
-                .words
-                .intersection_size(&b.field(self.coauthors).words)
+                .words()
+                .intersection_size(b.field(self.coauthors).words())
                 >= self.min_coauthors
     }
     fn partition_key(&self, r: &TokenizedRecord) -> Option<u64> {
@@ -251,7 +251,7 @@ impl SufficientPredicate for ExactPlusQgramSufficient {
     fn blocking_keys(&self, r: &TokenizedRecord) -> Vec<u64> {
         let eh = concat_hash(r, &self.exact);
         r.field(self.fuzzy)
-            .qgrams3
+            .qgrams3()
             .as_slice()
             .iter()
             .map(|&g| combine(eh, g))
@@ -262,8 +262,8 @@ impl SufficientPredicate for ExactPlusQgramSufficient {
             .iter()
             .all(|&f| a.field(f).text == b.field(f).text)
             && overlap_fraction_of_smaller(
-                &a.field(self.fuzzy).qgrams3,
-                &b.field(self.fuzzy).qgrams3,
+                a.field(self.fuzzy).qgrams3(),
+                b.field(self.fuzzy).qgrams3(),
             ) >= self.min_overlap
     }
 }
@@ -309,7 +309,7 @@ impl SufficientPredicate for NameAddressSufficient {
         let f = r.field(self.name_field);
         let ih = sorted_initials_hash(&f.text);
         self.stops
-            .filter(&f.words)
+            .filter(f.words())
             .as_slice()
             .iter()
             .map(|&w| combine(ih, w))
@@ -320,13 +320,13 @@ impl SufficientPredicate for NameAddressSufficient {
         if !initials_match(&na.text, &nb.text) {
             return false;
         }
-        let (wa, wb) = (self.stops.filter(&na.words), self.stops.filter(&nb.words));
+        let (wa, wb) = (self.stops.filter(na.words()), self.stops.filter(nb.words()));
         if overlap_fraction_of_smaller(&wa, &wb) <= self.min_name_frac {
             return false;
         }
         let (aa, ab) = (
-            self.stops.filter(&a.field(self.addr_field).words),
-            self.stops.filter(&b.field(self.addr_field).words),
+            self.stops.filter(a.field(self.addr_field).words()),
+            self.stops.filter(b.field(self.addr_field).words()),
         );
         overlap_fraction_of_smaller(&aa, &ab) >= self.min_addr_frac
     }
@@ -367,14 +367,14 @@ impl NecessaryPredicate for QgramFractionNecessary {
         &self.name
     }
     fn candidate_tokens(&self, r: &TokenizedRecord) -> TokenSet {
-        r.field(self.field).qgrams3.clone()
+        r.field(self.field).qgrams3().clone()
     }
     fn matches(&self, a: &TokenizedRecord, b: &TokenizedRecord) -> bool {
         let (fa, fb) = (a.field(self.field), b.field(self.field));
-        if overlap_fraction_of_smaller(&fa.qgrams3, &fb.qgrams3) <= self.min_fraction {
+        if overlap_fraction_of_smaller(fa.qgrams3(), fb.qgrams3()) <= self.min_fraction {
             return false;
         }
-        !self.require_common_initial || fa.initials.intersection_size(&fb.initials) >= 1
+        !self.require_common_initial || fa.initials().intersection_size(fb.initials()) >= 1
     }
 }
 
@@ -406,7 +406,7 @@ impl WordOverlapNecessary {
     fn tokens(&self, r: &TokenizedRecord) -> TokenSet {
         let mut all = Vec::new();
         for &f in &self.fields {
-            all.extend_from_slice(r.field(f).words.as_slice());
+            all.extend_from_slice(r.field(f).words().as_slice());
         }
         let ts = TokenSet::from_tokens(all);
         match &self.stops {
@@ -458,7 +458,7 @@ impl NecessaryPredicate for ExactPlusInitialNecessary {
         let eh = concat_hash(r, &self.exact);
         TokenSet::from_tokens(
             r.field(self.name_field)
-                .initials
+                .initials()
                 .as_slice()
                 .iter()
                 .map(|&i| combine(eh, i))
@@ -470,8 +470,8 @@ impl NecessaryPredicate for ExactPlusInitialNecessary {
             .iter()
             .all(|&f| a.field(f).text == b.field(f).text)
             && a.field(self.name_field)
-                .initials
-                .intersection_size(&b.field(self.name_field).initials)
+                .initials()
+                .intersection_size(b.field(self.name_field).initials())
                 >= 1
     }
 }
@@ -505,7 +505,7 @@ impl NecessaryPredicate for ExactPlusQgramNecessary {
         let eh = concat_hash(r, &self.exact);
         TokenSet::from_tokens(
             r.field(self.name_field)
-                .qgrams3
+                .qgrams3()
                 .as_slice()
                 .iter()
                 .map(|&g| combine(eh, g))
@@ -517,8 +517,8 @@ impl NecessaryPredicate for ExactPlusQgramNecessary {
             .iter()
             .all(|&f| a.field(f).text == b.field(f).text)
             && overlap_fraction_of_smaller(
-                &a.field(self.name_field).qgrams3,
-                &b.field(self.name_field).qgrams3,
+                a.field(self.name_field).qgrams3(),
+                b.field(self.name_field).qgrams3(),
             ) >= self.min_fraction
     }
 }
@@ -750,7 +750,7 @@ impl SufficientPredicate for MultiWordExactMatch {
     }
     fn blocking_keys(&self, r: &TokenizedRecord) -> Vec<u64> {
         let f = r.field(self.field);
-        if f.words.len() >= 2 {
+        if f.words().len() >= 2 {
             vec![hash_str(&f.text)]
         } else {
             Vec::new()
@@ -758,14 +758,14 @@ impl SufficientPredicate for MultiWordExactMatch {
     }
     fn matches(&self, a: &TokenizedRecord, b: &TokenizedRecord) -> bool {
         let (fa, fb) = (a.field(self.field), b.field(self.field));
-        fa.words.len() >= 2 && fa.text == fb.text
+        fa.words().len() >= 2 && fa.text == fb.text
     }
     fn exact_on_key(&self) -> bool {
         true
     }
     fn partition_key(&self, r: &TokenizedRecord) -> Option<u64> {
         let f = r.field(self.field);
-        if f.words.len() >= 2 {
+        if f.words().len() >= 2 {
             Some(hash_str(&f.text))
         } else {
             None
@@ -797,12 +797,12 @@ impl NecessaryPredicate for InitialOverlapNecessary {
         &self.name
     }
     fn candidate_tokens(&self, r: &TokenizedRecord) -> TokenSet {
-        r.field(self.field).initials.clone()
+        r.field(self.field).initials().clone()
     }
     fn matches(&self, a: &TokenizedRecord, b: &TokenizedRecord) -> bool {
         a.field(self.field)
-            .initials
-            .intersection_size(&b.field(self.field).initials)
+            .initials()
+            .intersection_size(b.field(self.field).initials())
             >= 1
     }
 }

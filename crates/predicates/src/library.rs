@@ -59,7 +59,7 @@ pub fn citation_predicates(schema: &Schema, toks: &[TokenizedRecord]) -> Predica
     for t in toks {
         let f = t.field(author);
         if seen.insert(topk_text::hash::hash_str(&f.text)) {
-            stats.add_document(&f.words);
+            stats.add_document(f.words());
         }
     }
     let stats = Arc::new(stats);

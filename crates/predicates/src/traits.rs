@@ -47,10 +47,10 @@
 //! impl NecessaryPredicate for ShareNameWord {
 //!     fn name(&self) -> &str { "share-name-word" }
 //!     fn candidate_tokens(&self, r: &TokenizedRecord) -> TokenSet {
-//!         r.field(FieldId(0)).words.clone()
+//!         r.field(FieldId(0)).words().clone()
 //!     }
 //!     fn matches(&self, a: &TokenizedRecord, b: &TokenizedRecord) -> bool {
-//!         a.field(FieldId(0)).words.intersection_size(&b.field(FieldId(0)).words) >= 1
+//!         a.field(FieldId(0)).words().intersection_size(b.field(FieldId(0)).words()) >= 1
 //!     }
 //! }
 //!
@@ -148,7 +148,7 @@ mod tests {
             "always"
         }
         fn candidate_tokens(&self, r: &TokenizedRecord) -> TokenSet {
-            r.field(topk_records::FieldId(0)).words.clone()
+            r.field(topk_records::FieldId(0)).words().clone()
         }
         fn matches(&self, _: &TokenizedRecord, _: &TokenizedRecord) -> bool {
             true

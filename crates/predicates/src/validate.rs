@@ -143,8 +143,8 @@ mod tests {
         }
         fn matches(&self, a: &TokenizedRecord, b: &TokenizedRecord) -> bool {
             a.field(FieldId(0))
-                .words
-                .intersection_size(&b.field(FieldId(0)).words)
+                .words()
+                .intersection_size(b.field(FieldId(0)).words())
                 >= 1
         }
     }
@@ -158,7 +158,7 @@ mod tests {
         fn candidate_tokens(&self, r: &TokenizedRecord) -> TokenSet {
             TokenSet::from_tokens(
                 r.field(FieldId(0))
-                    .words
+                    .words()
                     .as_slice()
                     .iter()
                     .take(1)

@@ -131,10 +131,21 @@ pub fn generic_stack(
     for t in toks {
         let f = t.field(field);
         if seen.insert(topk_text::hash::hash_str(&f.text)) {
-            stats.add_document(&f.words);
+            stats.add_document(f.words());
         }
     }
     stack_from_stats(Arc::new(stats), field, max_df, min_overlap)
+}
+
+/// The fields whose token sets [`stack_from_stats`]'s predicates read:
+/// both read `field` and nothing else. The engine tokenizes exactly
+/// these (`TokenizedRecord::from_fields_reading`) and keeps only the text
+/// of every other field, so a predicate put on another field below must
+/// be listed here too — reading a set that was not built panics, naming
+/// the field, and the test beside this module runs the stack over lean
+/// records.
+pub fn stack_fields(field: FieldId) -> [FieldId; 1] {
+    [field]
 }
 
 /// Assemble the generic stack from prebuilt corpus statistics (the
@@ -181,6 +192,45 @@ mod tests {
         assert_eq!(corpus.data.schema().field_name(corpus.field), "name");
         let stack = corpus.stack(30, 0.6);
         assert_eq!(stack.levels.len(), 1);
+    }
+
+    #[test]
+    fn the_stack_reads_no_field_outside_stack_fields() {
+        let d = topk_datagen::generate_citations(&topk_datagen::CitationConfig {
+            n_authors: 12,
+            n_citations: 60,
+            ..Default::default()
+        });
+        let field = FieldId(0);
+        let (full, lean): (Vec<_>, Vec<_>) = d
+            .records()
+            .iter()
+            .map(|r| {
+                (
+                    TokenizedRecord::from_fields(r.fields(), r.weight()),
+                    TokenizedRecord::from_fields_reading(
+                        r.fields(),
+                        r.weight(),
+                        &stack_fields(field),
+                    ),
+                )
+            })
+            .unzip();
+        assert!(full[0].arity() > 1, "needs fields the stack does not read");
+        // Every entry point of both predicates, on lean records: a read
+        // outside `stack_fields` would panic here.
+        let stack = generic_stack(&lean, field, 30, 0.6);
+        let reference = generic_stack(&full, field, 30, 0.6);
+        for ((s, n), (rs, rn)) in stack.levels.iter().zip(&reference.levels) {
+            for (i, (a, fa)) in lean.iter().zip(&full).enumerate() {
+                assert_eq!(s.blocking_keys(a), rs.blocking_keys(fa));
+                assert_eq!(s.partition_key(a), rs.partition_key(fa));
+                assert_eq!(n.candidate_tokens(a), rn.candidate_tokens(fa));
+                let (b, fb) = (&lean[(i + 1) % lean.len()], &full[(i + 1) % full.len()]);
+                assert_eq!(s.matches(a, b), rs.matches(fa, fb));
+                assert_eq!(n.matches(a, b), rn.matches(fa, fb));
+            }
+        }
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!
 //! # Collapse timing
 //!
-//! Ingested records are tokenized immediately (once — the shared
-//! tokenize-once path of [`crate::corpus`]) but merged into the
+//! Ingested records are tokenized immediately — once, and only the
+//! fields the predicate stack reads ([`crate::corpus::stack_fields`]);
+//! the others keep their text alone — but merged into the
 //! first-level collapse *lazily, at the next query*: the sufficient
 //! predicate depends on corpus statistics, and deferring the merge to
 //! query time means every record is collapsed under the newest
@@ -59,7 +60,7 @@ use topk_predicates::PredicateStack;
 use topk_records::{FieldId, TokenizedRecord};
 use topk_text::CorpusStats;
 
-use crate::corpus::stack_from_stats;
+use crate::corpus::{stack_fields, stack_from_stats};
 use crate::introspection::{ApproxProfile, ProfileRing, QueryProfile, ShardProfile};
 use crate::journal::{self, JournalSet, Row, SetRecovery};
 use crate::json::{obj, Json};
@@ -155,6 +156,18 @@ struct Shard {
     /// maintained at flush; merged across shards at approximate-query
     /// time (`docs/APPROX.md`).
     sample: Sketch,
+}
+
+impl Default for Shard {
+    fn default() -> Self {
+        Shard {
+            inc: IncrementalDedup::new(),
+            gids: Vec::new(),
+            keys: Vec::new(),
+            pending: Vec::new(),
+            sample: Sketch::with_defaults(),
+        }
+    }
 }
 
 /// Everything behind the core reader-writer lock.
@@ -286,15 +299,7 @@ impl Engine {
         let overload =
             OverloadControl::new(cfg.memory_budget_bytes, cfg.shards, metrics.registry());
         let shards = (0..cfg.shards)
-            .map(|_| {
-                Mutex::new(Shard {
-                    inc: IncrementalDedup::new(),
-                    gids: Vec::new(),
-                    keys: Vec::new(),
-                    pending: Vec::new(),
-                    sample: Sketch::with_defaults(),
-                })
-            })
+            .map(|_| Mutex::new(Shard::default()))
             .collect();
         Ok(Engine {
             schema: RwLock::new(Schema {
@@ -392,14 +397,6 @@ impl Engine {
 
     // ---- overload helpers ----------------------------------------------
 
-    /// Estimated bytes of each shard's slice of a routed batch.
-    fn bucket_bytes(buckets: &[Vec<(u64, TokenizedRecord)>]) -> Vec<u64> {
-        buckets
-            .iter()
-            .map(|b| b.iter().map(|(_, t)| overload::record_bytes(t)).sum())
-            .collect()
-    }
-
     /// Gate an ingest on the memory budget; on refusal bump the
     /// backpressure metric and emit the transition span.
     fn admit_ingest(&self, incoming: u64) -> Result<(), String> {
@@ -411,15 +408,6 @@ impl Engine {
             topk_obs::warn!("{e}");
             e
         })
-    }
-
-    /// Fold staged bytes into the per-shard memory gauges.
-    fn account_staged(&self, shard_bytes: &[u64]) {
-        for (si, &n) in shard_bytes.iter().enumerate() {
-            if n > 0 {
-                self.overload.add(si, n);
-            }
-        }
     }
 
     /// Abort with `deadline_exceeded` when the request's deadline has
@@ -536,39 +524,34 @@ impl Engine {
     /// lock only. A failing batch may still fix the schema from its
     /// first record — mirroring that a client's first (rejected) request
     /// still pins the arity for the session.
-    fn check_schema(&self, toks: &[TokenizedRecord]) -> Result<FieldId, String> {
+    fn check_schema(
+        &self,
+        arities: impl Iterator<Item = usize> + Clone,
+    ) -> Result<FieldId, String> {
+        let mismatch =
+            |got: usize, want: usize| format!("record has {got} fields, schema has {want}");
         {
             let schema = self.read_schema();
             if let Some(fields) = &schema.fields {
-                for t in toks {
-                    if t.arity() != fields.len() {
-                        return Err(format!(
-                            "record has {} fields, schema has {}",
-                            t.arity(),
-                            fields.len()
-                        ));
-                    }
+                if let Some(got) = arities.clone().find(|&a| a != fields.len()) {
+                    return Err(mismatch(got, fields.len()));
                 }
                 return Ok(schema.field);
             }
         }
         let mut schema = self.write_schema();
-        for t in toks {
+        for arity in arities {
             match &schema.fields {
                 Some(fields) => {
-                    if t.arity() != fields.len() {
-                        return Err(format!(
-                            "record has {} fields, schema has {}",
-                            t.arity(),
-                            fields.len()
-                        ));
+                    if arity != fields.len() {
+                        return Err(mismatch(arity, fields.len()));
                     }
                 }
                 None => {
-                    if t.arity() == 0 {
+                    if arity == 0 {
                         return Err("record has no fields".into());
                     }
-                    let fields: Vec<String> = (0..t.arity()).map(|i| format!("col{i}")).collect();
+                    let fields: Vec<String> = (0..arity).map(|i| format!("col{i}")).collect();
                     if let Some(name) = &self.cfg.name_field {
                         schema.field = FieldId(
                             fields
@@ -584,92 +567,149 @@ impl Engine {
         Ok(schema.field)
     }
 
-    /// Lock the touched shards in ascending index order, journal the
-    /// batch (all-or-nothing across segments), and stage the records as
-    /// pending. The shard locks are held across the journal append so
-    /// no concurrent snapshot can truncate between durability and
-    /// application.
-    fn stage_pending(
+    /// The tail every ingest path shares, under the core read guard it
+    /// is handed: admit the routed batch against the memory budget, lock
+    /// the touched shards in ascending index order, journal the batch
+    /// (all-or-nothing across segments), stage the records as pending,
+    /// publish the replication entry and count the records. The shard
+    /// locks are held across the journal append so no concurrent
+    /// snapshot can truncate between durability and application.
+    fn commit_staged(
         &self,
-        core: &Core,
-        buckets: &mut [Vec<(u64, TokenizedRecord)>],
+        core: RwLockReadGuard<'_, Core>,
+        mut buckets: Vec<Vec<(u64, TokenizedRecord)>>,
         seg_rows: Option<&[Vec<Row>]>,
-    ) -> Result<(), String> {
+        repl_payload: Option<Vec<u8>>,
+    ) -> Result<u64, String> {
+        let n: u64 = buckets.iter().map(|b| b.len() as u64).sum();
+        let shard_bytes: Vec<u64> = buckets
+            .iter()
+            .map(|b| b.iter().map(|(_, t)| overload::record_bytes(t)).sum())
+            .collect();
+        // Replicas stand under the same watermarks as the primary: an
+        // over-budget apply is refused and surfaced as pressure by the
+        // tailer instead of silently growing past the budget.
+        self.admit_ingest(shard_bytes.iter().sum())?;
         let mut guards: Vec<(usize, MutexGuard<'_, Shard>)> = Vec::new();
         for (i, m) in core.shards.iter().enumerate() {
             if !buckets[i].is_empty() {
                 guards.push((i, self.lock_shard(m)));
             }
         }
-        if let Some(rows) = seg_rows {
-            if let Some(j) = &self.journal {
-                j.append_sharded(rows).map_err(|e| {
-                    Metrics::incr(&self.metrics.journal_errors);
-                    format!("journal append failed, ingest not applied: {e}")
-                })?;
-                Metrics::incr(&self.metrics.journal_appends);
-            }
+        if let (Some(rows), Some(j)) = (seg_rows, &self.journal) {
+            j.append_sharded(rows).map_err(|e| {
+                Metrics::incr(&self.metrics.journal_errors);
+                format!("journal append failed, ingest not applied: {e}")
+            })?;
+            Metrics::incr(&self.metrics.journal_appends);
         }
         for (i, g) in guards.iter_mut() {
             g.pending.append(&mut buckets[*i]);
         }
-        Ok(())
+        drop(guards);
+        for (si, &staged) in shard_bytes.iter().enumerate() {
+            self.overload.add(si, staged);
+        }
+        // Publish and count before the read guard goes: a snapshot cut
+        // takes the write lock, so its cursor never misses an entry that
+        // is already staged and its `generation` never lags the records
+        // it carries. (The cache is generation-keyed, so counting before
+        // it is cleared is safe.)
+        if let Some(payload) = repl_payload {
+            self.repl_log.publish(payload);
+        }
+        let generation = self.generation.fetch_add(n, Ordering::AcqRel) + n;
+        drop(core);
+        self.lock_cache().clear(); // ingestion invalidates every cached answer
+        self.metrics
+            .ingested_records
+            .fetch_add(n, Ordering::Relaxed);
+        Ok(generation)
     }
 
-    /// Tokenize, route, and apply rows. Validation and tokenization run
-    /// outside every lock; the core lock is taken in **read** mode, so
-    /// concurrent ingests only contend on the shard mutexes they
-    /// actually touch. Replay passes `journal: false` — the recovered
-    /// rows are already durable.
-    fn apply_ingest(&self, rows: Vec<(Vec<String>, f64)>, journal: bool) -> Result<u64, String> {
-        let t0 = Instant::now();
-        let mut sp = topk_obs::Span::enter("service.ingest");
-        sp.record("records", rows.len());
-        let mut toks = Vec::with_capacity(rows.len());
-        for (fields, weight) in &rows {
-            if !weight.is_finite() || *weight < 0.0 {
-                return Err(format!("weight {weight} must be finite and >= 0"));
-            }
-            let normalized: Vec<String> = fields
+    /// Validate, normalize and tokenize a batch — outside every lock —
+    /// for the match field the schema names now: sets for the fields the
+    /// predicate stack reads ([`stack_fields`]), the text alone for the
+    /// rest. The arities (normalizing changes none) are checked first
+    /// because the field must be known before tokenizing;
+    /// [`Self::stage_batch`] confirms both under the core guard.
+    fn tokenize_batch<'a>(
+        &self,
+        rows: impl Iterator<Item = (&'a [String], f64)> + Clone,
+    ) -> Result<(FieldId, Vec<TokenizedRecord>), String> {
+        if let Some((_, weight)) = rows.clone().find(|(_, w)| !w.is_finite() || *w < 0.0) {
+            return Err(format!("weight {weight} must be finite and >= 0"));
+        }
+        let field = self.check_schema(rows.clone().map(|(fields, _)| fields.len()))?;
+        let read = stack_fields(field);
+        let tokenize = |(fields, weight): (&[String], f64)| {
+            let texts: Vec<String> = fields
                 .iter()
                 .map(|f| topk_text::normalize::normalize(f))
                 .collect();
-            toks.push(TokenizedRecord::from_fields(&normalized, *weight));
-        }
+            TokenizedRecord::from_fields_reading(&texts, weight, &read)
+        };
+        Ok((field, rows.map(tokenize).collect()))
+    }
+
+    /// Route a tokenized batch and commit it, under the core **read**
+    /// guard, so concurrent ingests only contend on the shard mutexes
+    /// they actually touch. `rows` are the batch as the request carried
+    /// it; `assign_rids` numbers them from the engine's counter (a
+    /// replica keeps the primary's), `journal: false` is replay — the
+    /// recovered rows are already durable. Returns the new generation.
+    fn stage_batch(
+        &self,
+        (mut field, mut toks): (FieldId, Vec<TokenizedRecord>),
+        mut rows: Vec<Row>,
+        assign_rids: bool,
+        journal: bool,
+    ) -> Result<u64, String> {
         let core = self.read_core();
-        let field = self.check_schema(&toks)?;
+        // `restore` and replica bootstrap replace the schema, match field
+        // included, under the core write lock: what it says now holds
+        // until the batch is staged, and a batch tokenized for another
+        // field is tokenized again, never staged as it is.
+        let now = self.check_schema(toks.iter().map(TokenizedRecord::arity))?;
+        if now != field {
+            field = now;
+            for t in &mut toks {
+                t.tokenize_only(&stack_fields(field));
+            }
+        }
         let router = ShardRouter::new(self.cfg.shards);
-        let n = toks.len();
-        let base = self.next_rid.fetch_add(n as u64, Ordering::AcqRel);
+        let n = rows.len();
+        if assign_rids {
+            let base = self.next_rid.fetch_add(n as u64, Ordering::AcqRel);
+            for (i, row) in rows.iter_mut().enumerate() {
+                row.0 = base + i as u64;
+            }
+        } else if let Some(max_rid) = rows.iter().map(|row| row.0).max() {
+            self.next_rid.fetch_max(max_rid + 1, Ordering::AcqRel);
+        }
         let want_journal = journal && self.journal.is_some();
         let mut buckets: Vec<Vec<(u64, TokenizedRecord)>> =
             (0..self.cfg.shards).map(|_| Vec::new()).collect();
         let mut seg_rows: Vec<Vec<Row>> = (0..self.cfg.shards).map(|_| Vec::new()).collect();
-        let mut entry_rows: Vec<Row> = Vec::with_capacity(n);
-        for (i, (t, (raw, weight))) in toks.into_iter().zip(rows).enumerate() {
+        for (t, row) in toks.into_iter().zip(&rows) {
             let si = router.route(&t.field(field).text);
-            let rid = base + i as u64;
             if want_journal {
-                seg_rows[si].push((rid, raw.clone(), weight));
+                seg_rows[si].push(row.clone());
             }
-            entry_rows.push((rid, raw, weight));
-            buckets[si].push((rid, t));
+            buckets[si].push((row.0, t));
         }
-        let repl_payload = journal::encode_entry(&entry_rows)?;
-        let shard_bytes = Self::bucket_bytes(&buckets);
-        self.admit_ingest(shard_bytes.iter().sum())?;
-        self.stage_pending(&core, &mut buckets, want_journal.then_some(&seg_rows[..]))?;
-        self.account_staged(&shard_bytes);
-        // Publish while the core read guard is still held: a snapshot
-        // cut for a bootstrapping replica takes the write lock, so its
-        // cursor can never miss an entry that is already staged.
-        self.repl_log.publish(repl_payload);
-        drop(core);
-        let generation = self.generation.fetch_add(n as u64, Ordering::AcqRel) + n as u64;
-        self.lock_cache().clear(); // ingestion invalidates every cached answer
-        self.metrics
-            .ingested_records
-            .fetch_add(n as u64, Ordering::Relaxed);
+        let seg_rows = want_journal.then_some(&seg_rows[..]);
+        self.commit_staged(core, buckets, seg_rows, Some(journal::encode_entry(&rows)?))
+    }
+
+    /// Tokenize, route, and apply rows; replay passes `journal: false`.
+    fn apply_ingest(&self, rows: Vec<(Vec<String>, f64)>, journal: bool) -> Result<u64, String> {
+        let t0 = Instant::now();
+        let mut sp = topk_obs::Span::enter("service.ingest");
+        sp.record("records", rows.len());
+        let batch = self.tokenize_batch(rows.iter().map(|(f, w)| (&f[..], *w)))?;
+        let rows = rows.into_iter().map(|(f, w)| (0, f, w)).collect();
+        let generation = self.stage_batch(batch, rows, true, journal)?;
         Metrics::incr(&self.metrics.ingest_requests);
         self.metrics.ingest_latency.record(t0.elapsed());
         Ok(generation)
@@ -689,8 +729,8 @@ impl Engine {
         sp.record("records", toks.len());
         sp.record("preloaded", true);
         let core = self.read_core();
-        let known = {
-            let schema = self.read_schema();
+        let eng_field = {
+            let mut schema = self.write_schema();
             match &schema.fields {
                 Some(existing) if existing.len() != fields.len() => {
                     return Err(format!(
@@ -699,48 +739,27 @@ impl Engine {
                         existing.len()
                     ));
                 }
-                Some(_) => Some(schema.field),
-                None => None,
-            }
-        };
-        let eng_field = match known {
-            Some(f) => f,
-            None => {
-                let mut schema = self.write_schema();
-                if let Some(existing) = &schema.fields {
-                    if existing.len() != fields.len() {
-                        return Err(format!(
-                            "preload has {} fields, engine schema has {}",
-                            fields.len(),
-                            existing.len()
-                        ));
-                    }
-                } else {
+                Some(_) => {}
+                None => {
                     schema.fields = Some(fields);
                     schema.field = field;
                 }
-                schema.field
             }
+            schema.field
         };
         let router = ShardRouter::new(self.cfg.shards);
         let n = toks.len();
         let base = self.next_rid.fetch_add(n as u64, Ordering::AcqRel);
         let mut buckets: Vec<Vec<(u64, TokenizedRecord)>> =
             (0..self.cfg.shards).map(|_| Vec::new()).collect();
-        for (i, t) in toks.into_iter().enumerate() {
+        for (i, mut t) in toks.into_iter().enumerate() {
+            // The loader tokenized every field; what stays resident is
+            // what any other ingest leaves.
+            t.tokenize_only(&stack_fields(eng_field));
             let si = router.route(&t.field(eng_field).text);
             buckets[si].push((base + i as u64, t));
         }
-        let shard_bytes = Self::bucket_bytes(&buckets);
-        self.admit_ingest(shard_bytes.iter().sum())?;
-        self.stage_pending(&core, &mut buckets, None)?;
-        self.account_staged(&shard_bytes);
-        drop(core);
-        let generation = self.generation.fetch_add(n as u64, Ordering::AcqRel) + n as u64;
-        self.lock_cache().clear();
-        self.metrics
-            .ingested_records
-            .fetch_add(n as u64, Ordering::Relaxed);
+        let generation = self.commit_staged(core, buckets, None, None)?;
         Metrics::incr(&self.metrics.ingest_requests);
         self.metrics.ingest_latency.record(t0.elapsed());
         Ok(generation)
@@ -765,58 +784,14 @@ impl Engine {
     }
 
     /// Ingest rows that already carry record ids (the replication apply
-    /// path). Mirrors [`Self::apply_ingest`] except the rids are kept
-    /// and the rid counter is raised above the largest one seen.
+    /// path): [`Self::apply_ingest`] except that the rids are kept and
+    /// the rid counter is raised above the largest one seen.
     fn apply_rows(&self, rows: Vec<Row>) -> Result<u64, String> {
         let t0 = Instant::now();
         let mut sp = topk_obs::Span::enter("service.replica_apply");
         sp.record("records", rows.len());
-        let mut toks = Vec::with_capacity(rows.len());
-        for (_, fields, weight) in &rows {
-            if !weight.is_finite() || *weight < 0.0 {
-                return Err(format!("weight {weight} must be finite and >= 0"));
-            }
-            let normalized: Vec<String> = fields
-                .iter()
-                .map(|f| topk_text::normalize::normalize(f))
-                .collect();
-            toks.push(TokenizedRecord::from_fields(&normalized, *weight));
-        }
-        let core = self.read_core();
-        let field = self.check_schema(&toks)?;
-        let router = ShardRouter::new(self.cfg.shards);
-        let n = rows.len();
-        let want_journal = self.journal.is_some();
-        let mut buckets: Vec<Vec<(u64, TokenizedRecord)>> =
-            (0..self.cfg.shards).map(|_| Vec::new()).collect();
-        let mut seg_rows: Vec<Vec<Row>> = (0..self.cfg.shards).map(|_| Vec::new()).collect();
-        let mut entry_rows: Vec<Row> = Vec::with_capacity(n);
-        let mut max_rid = 0u64;
-        for (t, (rid, raw, weight)) in toks.into_iter().zip(rows) {
-            let si = router.route(&t.field(field).text);
-            max_rid = max_rid.max(rid);
-            if want_journal {
-                seg_rows[si].push((rid, raw.clone(), weight));
-            }
-            entry_rows.push((rid, raw, weight));
-            buckets[si].push((rid, t));
-        }
-        let repl_payload = journal::encode_entry(&entry_rows)?;
-        let shard_bytes = Self::bucket_bytes(&buckets);
-        // Replicas stand under the same watermarks as the primary: an
-        // over-budget apply is refused here and surfaced as pressure by
-        // the tailer instead of silently growing past the budget.
-        self.admit_ingest(shard_bytes.iter().sum())?;
-        self.stage_pending(&core, &mut buckets, want_journal.then_some(&seg_rows[..]))?;
-        self.account_staged(&shard_bytes);
-        self.repl_log.publish(repl_payload);
-        drop(core);
-        self.next_rid.fetch_max(max_rid + 1, Ordering::AcqRel);
-        let generation = self.generation.fetch_add(n as u64, Ordering::AcqRel) + n as u64;
-        self.lock_cache().clear();
-        self.metrics
-            .ingested_records
-            .fetch_add(n as u64, Ordering::Relaxed);
+        let batch = self.tokenize_batch(rows.iter().map(|(_, f, w)| (&f[..], *w)))?;
+        let generation = self.stage_batch(batch, rows, false, true)?;
         self.metrics.ingest_latency.record(t0.elapsed());
         Ok(generation)
     }
@@ -870,7 +845,7 @@ impl Engine {
             for (_, t) in &s.pending {
                 let f = t.field(field);
                 if seen.insert(topk_text::hash::hash_str(&f.text)) {
-                    folded.add_document(&f.words);
+                    folded.add_document(f.words());
                 }
                 if t.weight() > *max_weight {
                     *max_weight = t.weight();
@@ -2012,11 +1987,12 @@ impl Engine {
     }
 
     /// Project a global snapshot state onto this engine's shards:
-    /// re-tokenize, route every record, split the canonicalized
-    /// union-find and the blocking index per shard, and rebuild corpus
-    /// statistics. Fails (without touching engine state) when the file
-    /// is internally inconsistent or its groups/blocks straddle the
-    /// partition — i.e. it was not produced by these predicates.
+    /// tokenize every record once (as an ingest would), route it, split
+    /// the canonicalized union-find and the blocking index per shard,
+    /// and rebuild corpus statistics. Fails (without touching engine
+    /// state) when the file is internally inconsistent or its
+    /// groups/blocks straddle the partition — i.e. it was not produced
+    /// by these predicates.
     #[allow(clippy::type_complexity)]
     fn project_state(
         &self,
@@ -2038,21 +2014,37 @@ impl Engine {
         }
         let n_shards = self.cfg.shards;
         let router = ShardRouter::new(n_shards);
-        let toks: Vec<TokenizedRecord> = records
-            .iter()
-            .map(|(texts, w)| TokenizedRecord::from_fields(texts, *w))
-            .collect();
         let mut uf = UnionFind::from_vec(parent)?;
         let canon = uf.canonical_parent();
+        let mut out: Vec<Shard> = (0..n_shards).map(|_| Shard::default()).collect();
+        let mut s_toks: Vec<Vec<TokenizedRecord>> = vec![Vec::new(); n_shards];
         let mut global: Vec<(u32, u32)> = Vec::with_capacity(n);
-        let mut s_records: Vec<Vec<(Vec<String>, f64)>> = vec![Vec::new(); n_shards];
-        let mut s_gids: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
-        for (gid, (t, rec)) in toks.iter().zip(&records).enumerate() {
-            let si = router.route(&t.field(field).text) as u32;
-            global.push((si, s_records[si as usize].len() as u32));
-            s_records[si as usize].push(rec.clone());
-            s_gids[si as usize].push(gid as u32);
+        let mut stats = CorpusStats::new();
+        let mut seen = HashSet::new();
+        let mut max_weight = 0.0f64;
+        // One pass in gid order, which is the ingest order: statistics,
+        // sample sketches (priorities are pure functions of seed,
+        // partition and gid) and the max-weight bound come out as an
+        // engine that ingested this stream live would hold them.
+        for (gid, (texts, w)) in records.iter().enumerate() {
+            let t = TokenizedRecord::from_fields_reading(texts, *w, &stack_fields(field));
+            let f = t.field(field);
+            if seen.insert(topk_text::hash::hash_str(&f.text)) {
+                stats.add_document(f.words());
+            }
+            let si = router.route(&f.text);
+            let key = ShardRouter::key(&f.text);
+            let shard = &mut out[si];
+            shard.sample.offer(gid as u64, key, &t);
+            shard.keys.push(key);
+            shard.gids.push(gid as u32);
+            if *w > max_weight {
+                max_weight = *w;
+            }
+            global.push((si as u32, s_toks[si].len() as u32));
+            s_toks[si].push(t);
         }
+        drop(records);
         let mut s_parent: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
         for gid in 0..n {
             let p = canon[gid] as usize;
@@ -2091,46 +2083,11 @@ impl Engine {
             }
             s_blocks[si as usize].push((key, locals));
         }
-        let mut stats = CorpusStats::new();
-        let mut seen = HashSet::new();
-        for t in &toks {
-            let f = t.field(field);
-            if seen.insert(topk_text::hash::hash_str(&f.text)) {
-                stats.add_document(&f.words);
-            }
-        }
-        let mut out = Vec::with_capacity(n_shards);
-        for si in 0..n_shards {
-            let n_local = s_records[si].len() as u64;
-            let mut blocks = std::mem::take(&mut s_blocks[si]);
+        let per_shard = s_toks.into_iter().zip(s_parent).zip(s_blocks);
+        for (shard, ((toks, parent), mut blocks)) in out.iter_mut().zip(per_shard) {
+            let n_local = toks.len() as u64;
             blocks.sort_unstable_by_key(|&(key, _)| key);
-            let inc = IncrementalDedup::from_state(IncrementalState {
-                records: std::mem::take(&mut s_records[si]),
-                parent: std::mem::take(&mut s_parent[si]),
-                blocks,
-                generation: n_local,
-            })?;
-            out.push(Shard {
-                inc,
-                gids: std::mem::take(&mut s_gids[si]),
-                keys: Vec::new(),
-                pending: Vec::new(),
-                sample: Sketch::with_defaults(),
-            });
-        }
-        // Rebuild the per-shard sample sketches and the max-weight
-        // bound: priorities are pure functions of (seed, partition,
-        // gid), so the rebuilt sketches equal the ones an engine that
-        // ingested this stream live would hold.
-        let mut max_weight = 0.0f64;
-        for (gid, t) in toks.iter().enumerate() {
-            let shard = &mut out[global[gid].0 as usize];
-            let key = ShardRouter::key(&t.field(field).text);
-            shard.sample.offer(gid as u64, key, t);
-            shard.keys.push(key);
-            if t.weight() > max_weight {
-                max_weight = t.weight();
-            }
+            shard.inc = IncrementalDedup::from_records(toks, parent, blocks, n_local)?;
         }
         Ok((out, global, stats, seen, max_weight))
     }
@@ -2744,5 +2701,166 @@ mod tests {
         assert_eq!(e.overload_gate(false, false, None).unwrap(), None);
         assert!(!e.overload().brownout_active());
         assert_eq!(Metrics::get(&e.metrics.brownout_exits), 1);
+    }
+
+    fn citation_rows(n: usize) -> Vec<(Vec<String>, f64)> {
+        let row = |i: usize| {
+            let venue = format!("Proc. of the {}th Conf. on Things, Vol. {i}", i % 5);
+            let author = format!("Author Number{} Smith-{}", i % 7, i % 3);
+            (vec![venue, author], 1.0 + (i % 4) as f64)
+        };
+        (0..n).map(row).collect()
+    }
+
+    /// Two shards, two fields, matching on the second.
+    fn citation_engine() -> Engine {
+        Engine::new(EngineConfig {
+            fields: Some(vec!["venue".into(), "author".into()]),
+            name_field: Some("author".into()),
+            parallelism: Parallelism::sequential(),
+            shards: 2,
+            ..Default::default()
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn resident_bytes_and_snapshots_do_not_depend_on_how_rows_arrived() {
+        let rows = citation_rows(90);
+        let dir = std::env::temp_dir().join("topk_engine_arrival_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let jpath = dir.join("arrival.wal");
+        for i in 0..2 {
+            let _ = std::fs::remove_file(journal::segment_path(&jpath, i));
+        }
+        // Over the wire, journaled.
+        let mut wire = citation_engine();
+        wire.attach_journal(JournalSet::open(&jpath, 2).unwrap().0);
+        for chunk in rows.chunks(40) {
+            wire.ingest(chunk.to_vec()).unwrap();
+        }
+        let (snap, _) = wire.snapshot_bytes().unwrap();
+        // Preloaded: the corpus loader tokenizes every field.
+        let preloaded = citation_engine();
+        let full = |(fields, w): &(Vec<String>, f64)| {
+            let texts: Vec<String> = fields
+                .iter()
+                .map(|f| topk_text::normalize::normalize(f))
+                .collect();
+            TokenizedRecord::from_fields(&texts, *w)
+        };
+        let fields = vec!["venue".to_string(), "author".to_string()];
+        preloaded
+            .ingest_toks(rows.iter().map(full).collect(), fields, FieldId(1))
+            .unwrap();
+        // Replayed from the journal, and restored from the snapshot.
+        let replayed = citation_engine();
+        replayed
+            .replay_rows(JournalSet::open(&jpath, 2).unwrap().1)
+            .unwrap();
+        let restored = citation_engine();
+        restored.restore_bytes(&snap).unwrap();
+        let memory = |e: &Engine| e.stats_json().get("memory_bytes").unwrap().as_usize();
+        assert!(memory(&wire) > Some(90 * 200), "{:?}", memory(&wire));
+        for (path, e) in [
+            ("preload", &preloaded),
+            ("replay", &replayed),
+            ("restore", &restored),
+        ] {
+            assert_eq!(e.snapshot_bytes().unwrap().0, snap, "{path}");
+            assert_eq!(memory(e), memory(&wire), "{path}");
+            assert_eq!(
+                e.query_topk(5).unwrap().to_string(),
+                wire.query_topk(5).unwrap().to_string(),
+                "{path}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_batch_tokenized_for_a_match_field_a_restore_replaced_is_never_staged_as_it_is() {
+        let donor = citation_engine();
+        donor.ingest(citation_rows(30)).unwrap();
+        let (matching_on_author, _) = donor.snapshot_bytes().unwrap();
+        let batch_rows = citation_rows(50).split_off(30);
+        let borrowed = || batch_rows.iter().map(|(f, w)| (&f[..], *w));
+        let owned = || batch_rows.iter().cloned().map(|(f, w)| (0, f, w)).collect();
+        // No race: the restore, then the ingest.
+        let reference = sharded(2, 0);
+        reference.restore_bytes(&matching_on_author).unwrap();
+        reference.ingest(batch_rows.clone()).unwrap();
+        // The race: the batch is tokenized while the engine still matches
+        // on its first field, and staged after the restore.
+        let e = sharded(2, 0);
+        e.ingest(citation_rows(1)).unwrap();
+        let batch = e.tokenize_batch(borrowed()).unwrap();
+        assert_eq!(batch.0, FieldId(0));
+        e.restore_bytes(&matching_on_author).unwrap();
+        e.stage_batch(batch, owned(), true, true).unwrap();
+        // A record staged with the sets of the wrong field would panic
+        // in this flush, naming field 1.
+        assert_eq!(
+            e.query_topk(5).unwrap().to_string(),
+            reference.query_topk(5).unwrap().to_string()
+        );
+        assert_eq!(
+            e.snapshot_bytes().unwrap().0,
+            reference.snapshot_bytes().unwrap().0
+        );
+        assert_eq!(
+            e.overload().total_bytes(),
+            reference.overload().total_bytes()
+        );
+        // A restore that changes the arity refuses the batch outright.
+        let batch = e.tokenize_batch(borrowed()).unwrap();
+        let narrow = engine();
+        narrow.ingest(vec![row("grace hopper")]).unwrap();
+        e.restore_bytes(&narrow.snapshot_bytes().unwrap().0)
+            .unwrap();
+        let err = e.stage_batch(batch, owned(), true, true).unwrap_err();
+        assert!(err.contains("record has 2 fields, schema has 1"), "{err}");
+        assert_eq!(e.generation(), 1);
+    }
+
+    /// `generation` is the record count a snapshot carries and a replica
+    /// installs (`stats.records`), so under the core write lock it must
+    /// equal the records held. Counting a batch only after the read
+    /// guard was dropped left a window in which a cut carried the
+    /// batch's records and a generation that many short — and a replica
+    /// bootstrapped from it waited for ever for records it already had.
+    /// Nothing here can fail unless that window exists.
+    #[test]
+    fn every_cut_under_the_write_lock_carries_a_generation_equal_to_its_records() {
+        let e = Arc::new(sharded(2, 0));
+        let writer = {
+            let e = Arc::clone(&e);
+            std::thread::spawn(move || {
+                for batch in 0..400 {
+                    let name = |i| format!("author {} of batch {batch}", i % 5);
+                    e.ingest((0..37).map(|i| row(&name(i))).collect()).unwrap();
+                }
+            })
+        };
+        let mut cuts = 0u64;
+        while !writer.is_finished() {
+            // The cheap cut: what `assemble_state` would read.
+            let mut core = e.write_core();
+            let held = |m: &mut Mutex<Shard>| {
+                let s = Engine::shard_mut(m);
+                s.inc.len() + s.pending.len()
+            };
+            let records: usize = core.shards.iter_mut().map(held).sum();
+            assert_eq!(e.generation(), records as u64, "cut {cuts}");
+            drop(core);
+            cuts += 1;
+            // And the cut a bootstrapping replica is actually sent.
+            if cuts % 512 == 0 {
+                let (bytes, _) = e.snapshot_bytes().unwrap();
+                let (state, _, _) = snapshot::decode_snapshot(&bytes).unwrap();
+                assert_eq!(state.generation, state.records.len() as u64);
+            }
+        }
+        writer.join().unwrap();
+        assert_eq!(e.generation(), 400 * 37);
     }
 }

@@ -157,11 +157,10 @@ fn write_str(s: &str, out: &mut String) {
 /// Parse one JSON document, requiring it to span the whole input (modulo
 /// surrounding whitespace).
 pub fn parse(input: &str) -> Result<Json, String> {
-    let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(input, &mut pos)?;
+    skip_ws(input.as_bytes(), &mut pos);
+    if pos != input.len() {
         return Err(format!("trailing bytes at offset {pos}"));
     }
     Ok(value)
@@ -173,13 +172,14 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(s: &str, pos: &mut usize) -> Result<Json, String> {
+    let b = s.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
-        Some(b'"') => Ok(Json::Str(parse_str(b, pos)?)),
+        Some(b'{') => parse_obj(s, pos),
+        Some(b'[') => parse_arr(s, pos),
+        Some(b'"') => Ok(Json::Str(parse_str(s, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_lit(b, pos, "null", Json::Null),
@@ -213,64 +213,70 @@ fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         .map_err(|_| format!("bad number `{text}` at offset {start}"))
 }
 
-fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
+/// Linear in the string's length: the bytes between two delimiters (a
+/// quote, a backslash, a control byte — all ASCII) are copied in one
+/// piece. `s` is already valid UTF-8 and a run bounded by ASCII bytes
+/// starts and ends on char boundaries, so nothing is validated again.
+fn parse_str(s: &str, pos: &mut usize) -> Result<String, String> {
+    let b = s.as_bytes();
     debug_assert_eq!(b[*pos], b'"');
     *pos += 1;
     let mut out = String::new();
     loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
+        let run = b[*pos..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+            .ok_or("unterminated string")?;
+        out.push_str(s.get(*pos..*pos + run).ok_or("invalid UTF-8")?);
+        *pos += run;
+        match b[*pos] {
+            b'"' => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            b'\\' => {
                 *pos += 1;
-                let esc = *b.get(*pos).ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hi = parse_hex4(b, pos)?;
-                        let ch = if (0xD800..0xDC00).contains(&hi) {
-                            // Surrogate pair: require \uXXXX low half.
-                            if b.get(*pos) != Some(&b'\\') || b.get(*pos + 1) != Some(&b'u') {
-                                return Err("lone high surrogate".into());
-                            }
-                            *pos += 2;
-                            let lo = parse_hex4(b, pos)?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return Err("bad low surrogate".into());
-                            }
-                            let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                            char::from_u32(code).ok_or("bad surrogate pair")?
-                        } else {
-                            char::from_u32(hi).ok_or("bad \\u escape")?
-                        };
-                        out.push(ch);
-                    }
-                    other => return Err(format!("bad escape \\{}", other as char)),
-                }
+                out.push(parse_escape(b, pos)?);
             }
-            Some(&c) if c < 0x20 => return Err("raw control character in string".into()),
-            Some(_) => {
-                // Copy one UTF-8 scalar (multi-byte safe).
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid UTF-8")?;
-                let Some(ch) = s.chars().next() else {
-                    return Err("truncated string".into());
-                };
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
+            _ => return Err("raw control character in string".into()),
         }
     }
+}
+
+/// The scalar an escape sequence stands for; `pos` is just past the
+/// backslash.
+fn parse_escape(b: &[u8], pos: &mut usize) -> Result<char, String> {
+    let esc = *b.get(*pos).ok_or("unterminated escape")?;
+    *pos += 1;
+    Ok(match esc {
+        b'"' => '"',
+        b'\\' => '\\',
+        b'/' => '/',
+        b'b' => '\u{8}',
+        b'f' => '\u{c}',
+        b'n' => '\n',
+        b'r' => '\r',
+        b't' => '\t',
+        b'u' => {
+            let hi = parse_hex4(b, pos)?;
+            if (0xD800..0xDC00).contains(&hi) {
+                // Surrogate pair: require \uXXXX low half.
+                if b.get(*pos) != Some(&b'\\') || b.get(*pos + 1) != Some(&b'u') {
+                    return Err("lone high surrogate".into());
+                }
+                *pos += 2;
+                let lo = parse_hex4(b, pos)?;
+                if !(0xDC00..0xE000).contains(&lo) {
+                    return Err("bad low surrogate".into());
+                }
+                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                char::from_u32(code).ok_or("bad surrogate pair")?
+            } else {
+                char::from_u32(hi).ok_or("bad \\u escape")?
+            }
+        }
+        other => return Err(format!("bad escape \\{}", other as char)),
+    })
 }
 
 fn parse_hex4(b: &[u8], pos: &mut usize) -> Result<u32, String> {
@@ -283,7 +289,8 @@ fn parse_hex4(b: &[u8], pos: &mut usize) -> Result<u32, String> {
     u32::from_str_radix(hex, 16).map_err(|_| format!("bad hex `{hex}`"))
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(s: &str, pos: &mut usize) -> Result<Json, String> {
+    let b = s.as_bytes();
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -292,7 +299,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(s, pos)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -305,7 +312,8 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(s: &str, pos: &mut usize) -> Result<Json, String> {
+    let b = s.as_bytes();
     *pos += 1; // consume '{'
     let mut members: Vec<(String, Json)> = Vec::new();
     skip_ws(b, pos);
@@ -318,7 +326,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         if b.get(*pos) != Some(&b'"') {
             return Err(format!("expected object key at offset {pos}", pos = *pos));
         }
-        let key = parse_str(b, pos)?;
+        let key = parse_str(s, pos)?;
         if members.iter().any(|(k, _)| *k == key) {
             return Err(format!("duplicate key `{key}`"));
         }
@@ -327,7 +335,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected `:` at offset {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(s, pos)?;
         members.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -412,6 +420,241 @@ mod tests {
         ] {
             assert!(parse(text).is_err(), "{text:?} should fail");
         }
+    }
+
+    /// `parse_str` as it was before it copied runs: one scalar per
+    /// iteration, and one UTF-8 validation of the whole remainder for
+    /// each, which is what made it quadratic. Kept as the oracle of the
+    /// differential test below.
+    fn parse_str_per_scalar(b: &[u8], pos: &mut usize) -> Result<String, String> {
+        *pos += 1;
+        let mut out = String::new();
+        loop {
+            match b.get(*pos) {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    *pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    *pos += 1;
+                    let esc = *b.get(*pos).ok_or("unterminated escape")?;
+                    *pos += 1;
+                    match esc {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'u' => {
+                            let hi = parse_hex4(b, pos)?;
+                            let ch = if (0xD800..0xDC00).contains(&hi) {
+                                if b.get(*pos) != Some(&b'\\') || b.get(*pos + 1) != Some(&b'u') {
+                                    return Err("lone high surrogate".into());
+                                }
+                                *pos += 2;
+                                let lo = parse_hex4(b, pos)?;
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err("bad low surrogate".into());
+                                }
+                                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                                char::from_u32(code).ok_or("bad surrogate pair")?
+                            } else {
+                                char::from_u32(hi).ok_or("bad escape")?
+                            };
+                            out.push(ch);
+                        }
+                        other => return Err(format!("bad escape {}", other as char)),
+                    }
+                }
+                Some(&c) if c < 0x20 => return Err("raw control character in string".into()),
+                Some(_) => {
+                    let s = std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid UTF-8")?;
+                    let Some(ch) = s.chars().next() else {
+                        return Err("truncated string".into());
+                    };
+                    out.push(ch);
+                    *pos += ch.len_utf8();
+                }
+            }
+        }
+    }
+
+    /// xorshift64: the generated cases repeat exactly from run to run.
+    struct Rng(u64);
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// What a string body can be made of, well-formed and not.
+    fn pieces() -> Vec<String> {
+        let bs = '\\';
+        let u = |hex: &str| format!("{bs}u{hex}");
+        let mut p: Vec<String> = Vec::new();
+        // ASCII, then 2-, 3- and 4-byte scalars, raw.
+        for raw in [
+            "a",
+            "plain ascii run ",
+            "~",
+            "\u{7f}",
+            "\u{e9}",
+            "\u{df}\u{f1}",
+        ] {
+            p.push(raw.into());
+        }
+        for raw in ["\u{20ac}", "\u{4e2d}\u{6587}", "\u{1F600}", "\u{10FFFF}"] {
+            p.push(raw.into());
+        }
+        // Every two-character escape, and one that is not one.
+        for e in ['"', '\\', '/', 'b', 'f', 'n', 'r', 't', 'x'] {
+            p.push(format!("{bs}{e}"));
+        }
+        // Hex escapes: scalars, pairs, then lone, reversed, doubled,
+        // interrupted and truncated surrogates and digits.
+        for hex in ["0041", "00e9", "20AC", "ffff", "0000", "001f"] {
+            p.push(u(hex));
+        }
+        p.push(u("d83d") + &u("de00"));
+        p.push(u("dbff") + &u("dfff"));
+        p.push(u("d83d"));
+        p.push(u("d83d") + "x");
+        p.push(u("d83d") + &format!("{bs}n"));
+        p.push(u("de00"));
+        p.push(u("de00") + &u("d83d"));
+        p.push(u("d83d") + &u("d83d"));
+        p.push(u("d83d") + &u("00"));
+        for hex in ["", "1", "12", "123", "12g4", "\u{e9}123"] {
+            p.push(u(hex));
+        }
+        p.push(bs.into());
+        // Raw control bytes and a raw quote.
+        for raw in ["\u{0}", "\u{1}", "\t", "\n", "\u{1f}", "\""] {
+            p.push(raw.into());
+        }
+        p
+    }
+
+    #[test]
+    fn run_copying_parse_agrees_with_the_per_scalar_loop() {
+        let pieces = pieces();
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        let (mut accepted, mut rejected) = (0u32, 0u32);
+        for case in 0..800 {
+            let mut text = String::from("\"");
+            // Each piece alone first, then random sequences of them.
+            if case < pieces.len() {
+                text.push_str(&pieces[case]);
+            } else {
+                for _ in 0..rng.below(9) {
+                    text.push_str(&pieces[rng.below(pieces.len())]);
+                }
+            }
+            text.push_str(["\"", "\",", "\" tail"][rng.below(3)]);
+            // The whole input, and the input cut at every char boundary.
+            let cuts = text.char_indices().map(|(i, _)| i).skip(1);
+            for end in cuts.chain([text.len()]) {
+                let input = &text[..end];
+                let (mut new_pos, mut old_pos) = (0, 0);
+                let new = parse_str(input, &mut new_pos);
+                let old = parse_str_per_scalar(input.as_bytes(), &mut old_pos);
+                assert_eq!(new.as_ref().ok(), old.as_ref().ok(), "{input:?}");
+                if new.is_ok() {
+                    assert_eq!(new_pos, old_pos, "{input:?}");
+                    accepted += 1;
+                } else {
+                    rejected += 1;
+                }
+            }
+        }
+        assert!(accepted > 500 && rejected > 500, "{accepted} / {rejected}");
+    }
+
+    fn tree(rng: &mut Rng, depth: usize) -> Json {
+        let text = |rng: &mut Rng| {
+            let raw = [
+                "a",
+                " ",
+                "\"",
+                "\\",
+                "/",
+                "\n",
+                "\u{0}",
+                "\u{1f}",
+                "\u{e9}",
+                "\u{20ac}",
+                "\u{1F600}",
+                "x y z",
+            ];
+            let n = rng.below(6);
+            (0..n)
+                .map(|_| raw[rng.below(raw.len())])
+                .collect::<String>()
+        };
+        match rng.below(if depth == 0 { 4 } else { 6 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.below(2) == 0),
+            2 => Json::Num(match rng.below(4) {
+                0 => rng.below(1000) as f64,
+                1 => -(rng.below(1 << 20) as f64) / 64.0,
+                2 => rng.below(1 << 30) as f64 * 1e-12,
+                _ => rng.below(1 << 30) as f64 * 1e290,
+            }),
+            3 => Json::Str(text(rng)),
+            4 => {
+                let n = rng.below(4);
+                Json::Arr((0..n).map(|_| tree(rng, depth - 1)).collect())
+            }
+            _ => {
+                let n = rng.below(4);
+                // The index keeps the keys distinct: duplicates are rejected.
+                let member = |i| (format!("{i}{}", text(rng)), tree(rng, depth - 1));
+                Json::Obj((0..n).map(member).collect())
+            }
+        }
+    }
+
+    #[test]
+    fn generated_trees_round_trip_through_their_wire_form() {
+        let mut rng = Rng(0xD1B5_4A32_D192_ED03);
+        for _ in 0..400 {
+            let v = tree(&mut rng, 4);
+            let line = v.to_string();
+            assert_eq!(parse(&line), Ok(v), "{line}");
+        }
+    }
+
+    /// Complexity guard: a 1 MiB field (a quarter of the default
+    /// `max_request_bytes`) must not hold a connection thread for
+    /// seconds. Linear, this is tens of milliseconds in a debug build;
+    /// validating the remainder once per character made it 16 s in a
+    /// release build.
+    #[test]
+    fn a_one_mebibyte_ingest_line_parses_in_linear_time() {
+        let unit = "fifty bytes of ordinary text, caf\u{e9} and \\\"quotes\\\"; ";
+        let field = unit.repeat((1 << 20) / unit.len() + 1);
+        let line = format!(r#"{{"cmd":"ingest","fields":["{field}"]}}"#);
+        let t0 = std::time::Instant::now();
+        let parsed = crate::protocol::parse_request(&line);
+        let took = t0.elapsed();
+        let Ok(crate::protocol::Request::Ingest(rows)) = parsed else {
+            panic!("not an ingest: {parsed:?}");
+        };
+        assert_eq!(rows.len(), 1);
+        let want = unit.replace('\\', "");
+        assert!(rows[0].0[0].starts_with(&want), "{:?}", &rows[0].0[0][..80]);
+        assert_eq!(
+            rows[0].0[0].len(),
+            want.len() * ((1 << 20) / unit.len() + 1)
+        );
+        assert!(took < std::time::Duration::from_secs(1), "{took:?}");
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //! Everything here is relaxed atomics — the control plane rides the hot
 //! path and must never take a lock.
 
+use std::mem::size_of;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use topk_records::TokenizedRecord;
+use topk_records::{TokenizedField, TokenizedRecord};
 
 /// Backoff hint (milliseconds) attached to `memory_pressure` rejections
 /// and admission sheds via the error envelope's `retry_after_ms` member.
@@ -47,20 +48,34 @@ pub enum Transition {
     Exited,
 }
 
-/// Estimated resident bytes of one tokenized record: field text, the
-/// three interned token sets (8-byte hashes), and a flat allowance for
-/// struct overhead plus this record's amortized share of the bounded
-/// response cache and approx sketch (both hold per-record entries).
-/// Deliberately deterministic — identical rows account identically on
-/// every shard layout, which the differential brownout test relies on.
+/// What the allocator adds to a heap block: glibc malloc keeps an 8-byte
+/// size word and rounds the block up to a multiple of 16.
+const ALLOC_HEADER: u64 = 16;
+
+/// One record's share of what the engine keeps beside the records once
+/// they are collapsed, in bytes: `Shard::{gids, keys}` (4 + 8),
+/// `Core::global` (8), the union-find's parent and size (8), the
+/// per-root aggregates `weight` / `rep` / `next` (16), its entry in the
+/// blocking index (~20), a `BTreeSet` root-index entry per group (~14),
+/// the distinct-value set and the document-frequency dictionary (~25) —
+/// ~105 — times the third that doubling vectors and hash tables keep
+/// spare on average. The replication window's copy of each acked batch
+/// is *not* in it (ROADMAP, memory item).
+const ENGINE_ARRAYS: u64 = 140;
+
+/// Estimated resident bytes of one tokenized record, from its layout:
+/// the record and field structs, every heap block it owns (texts, the
+/// token sets that were built, the field vector) at its capacity plus
+/// the allocator's header, and `ENGINE_ARRAYS`. A pure function of the
+/// record — identical rows account identically on every shard layout
+/// and by whichever path they arrived, which the differential brownout
+/// test relies on.
 pub fn record_bytes(rec: &TokenizedRecord) -> u64 {
-    let mut n = 48u64; // record struct, weight, field vec
-    for f in 0..rec.arity() {
-        let field = rec.field(topk_records::FieldId(f));
-        let tokens = field.words.len() + field.qgrams3.len() + field.initials.len();
-        n += field.text.len() as u64 + 8 * tokens as u64 + 64;
-    }
-    n
+    let fields = (0..rec.arity()).map(|f| rec.field(topk_records::FieldId(f)));
+    let blocks = fields.flat_map(TokenizedField::heap_blocks);
+    let heap: u64 = blocks.map(|bytes| bytes as u64 + ALLOC_HEADER).sum();
+    let field_vec = (rec.arity() * size_of::<TokenizedField>()) as u64 + ALLOC_HEADER;
+    size_of::<TokenizedRecord>() as u64 + field_vec + heap + ENGINE_ARRAYS
 }
 
 /// Admission-cost class of a query: `rank` distinguishes `topr` from

@@ -267,6 +267,8 @@ pub fn overloaded_line() -> String {
 enum ReadOutcome {
     /// A complete line (newline stripped, possibly empty).
     Line(String),
+    /// A complete line that is not UTF-8 (`docs/SERVICE.md`: lines are).
+    NotUtf8,
     /// The line exceeded `max_request_bytes` before its newline.
     TooLarge,
     /// No request byte arrived within the idle timeout.
@@ -285,6 +287,8 @@ enum ReadOutcome {
 struct LineReader {
     stream: TcpStream,
     buf: Vec<u8>,
+    /// How much of `buf` earlier calls searched and found no newline in.
+    scanned: usize,
     /// When the oldest unconsumed byte of the current line arrived.
     started: Option<Instant>,
 }
@@ -294,22 +298,33 @@ impl LineReader {
         LineReader {
             stream,
             buf: Vec::new(),
+            scanned: 0,
             started: None,
         }
     }
 
-    /// Extract a complete line from the buffer, if one is there.
-    fn take_line(&mut self) -> Option<String> {
-        let nl = self.buf.iter().position(|&b| b == b'\n')?;
-        let line: Vec<u8> = self.buf.drain(..=nl).take(nl).collect();
+    /// Offset of the first newline in the buffer, searching only the
+    /// bytes that arrived since the last call.
+    fn find_newline(&mut self) -> Option<usize> {
+        let found = self.buf[self.scanned..].iter().position(|&b| b == b'\n');
+        let nl = found.map(|i| self.scanned + i);
+        self.scanned = nl.unwrap_or(self.buf.len());
+        nl
+    }
+
+    /// Move the line that ends at the newline at `nl` out of the buffer
+    /// (newline dropped); what follows it stays.
+    fn take_line(&mut self, nl: usize) -> Vec<u8> {
+        let rest = self.buf.split_off(nl + 1);
+        let mut line = std::mem::replace(&mut self.buf, rest);
+        line.truncate(nl);
+        self.scanned = 0;
         self.started = if self.buf.is_empty() {
             None
         } else {
             Some(Instant::now())
         };
-        // Invalid UTF-8 flows into `parse_request`, which answers it
-        // with the structured `bad_json` envelope.
-        Some(String::from_utf8_lossy(&line).into_owned())
+        line
     }
 
     /// Block until a full line, a deadline, the size cap, or EOF.
@@ -319,13 +334,17 @@ impl LineReader {
             // Size-check BEFORE extracting: a complete line that is
             // itself oversized must be rejected, not served (whether the
             // newline has arrived yet is a TCP coalescing accident).
-            match self.buf.iter().position(|&b| b == b'\n') {
+            match self.find_newline() {
                 Some(nl) if cfg.max_request_bytes > 0 && nl > cfg.max_request_bytes => {
                     return ReadOutcome::TooLarge;
                 }
-                Some(_) => {
-                    if let Some(line) = self.take_line() {
-                        return ReadOutcome::Line(line);
+                // The line's bytes move into the `String`; this is the
+                // one UTF-8 validation a request gets (`json::parse`
+                // slices the `&str` without validating again).
+                Some(nl) => {
+                    return match String::from_utf8(self.take_line(nl)) {
+                        Ok(line) => ReadOutcome::Line(line),
+                        Err(_) => ReadOutcome::NotUtf8,
                     }
                 }
                 None if cfg.max_request_bytes > 0 && self.buf.len() > cfg.max_request_bytes => {
@@ -383,16 +402,13 @@ impl LineReader {
     fn discard_line(&mut self, cfg: &ServerConfig) -> bool {
         let t0 = Instant::now();
         loop {
-            if let Some(nl) = self.buf.iter().position(|&b| b == b'\n') {
-                self.buf.drain(..=nl);
-                self.started = if self.buf.is_empty() {
-                    None
-                } else {
-                    Some(Instant::now())
-                };
+            if let Some(nl) = self.find_newline() {
+                self.take_line(nl);
                 return true;
             }
-            self.buf.clear(); // nothing before a newline is ever needed again
+            // Nothing before a newline is ever needed again.
+            self.buf.clear();
+            self.scanned = 0;
             let wait = match checked_deadline(t0, cfg.read_timeout) {
                 None => None,
                 Some(d) => match d.checked_duration_since(Instant::now()) {
@@ -500,6 +516,13 @@ fn handle_connection(
                     shutdown.store(true, Ordering::SeqCst);
                     // Wake the blocking accept so the run loop can exit.
                     let _ = TcpStream::connect(addr);
+                    break;
+                }
+            }
+            ReadOutcome::NotUtf8 => {
+                Metrics::incr(&engine.metrics.errors);
+                let e = ProtoError::new("bad_json", "request line is not valid UTF-8");
+                if write_line(&mut writer, &err_response(&e)).is_err() {
                     break;
                 }
             }

@@ -38,6 +38,12 @@ impl TokenSet {
         self.tokens.is_empty()
     }
 
+    /// Bytes of heap the set holds — its capacity, which is what stays
+    /// allocated, not its length.
+    pub fn heap_bytes(&self) -> usize {
+        self.tokens.capacity() * std::mem::size_of::<Token>()
+    }
+
     /// Sorted slice of tokens.
     #[inline]
     pub fn as_slice(&self) -> &[Token] {

@@ -52,8 +52,8 @@ fn main() {
     // overlap says duplicate, the conflicting birth date says no.
     let scorer = |a: &topk_records::TokenizedRecord, b: &topk_records::TokenizedRecord| {
         let gram = topk_text::sim::overlap_coefficient(
-            &a.field(FieldId(0)).qgrams3,
-            &b.field(FieldId(0)).qgrams3,
+            a.field(FieldId(0)).qgrams3(),
+            b.field(FieldId(0)).qgrams3(),
         );
         let date_agree = a.field(FieldId(1)).text == b.field(FieldId(1)).text;
         let school_agree = a.field(FieldId(3)).text == b.field(FieldId(3)).text;

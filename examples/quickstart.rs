@@ -20,11 +20,11 @@ use topk_records::{tokenize_dataset, FieldId, TokenizedRecord};
 fn scorer(a: &TokenizedRecord, b: &TokenizedRecord) -> f64 {
     let author = FieldId(0);
     let gram =
-        topk_text::sim::overlap_coefficient(&a.field(author).qgrams3, &b.field(author).qgrams3);
+        topk_text::sim::overlap_coefficient(a.field(author).qgrams3(), b.field(author).qgrams3());
     let initial_ok = a
         .field(author)
-        .initials
-        .intersection_size(&b.field(author).initials)
+        .initials()
+        .intersection_size(b.field(author).initials())
         >= 1;
     if initial_ok {
         gram - 0.5

@@ -19,7 +19,7 @@ fn scorer(a: &TokenizedRecord, b: &TokenizedRecord) -> f64 {
         .take_while(|(x, y)| x == y)
         .count();
     let prefix_frac = prefix as f64 / sa.len().min(sb.len()).max(1) as f64;
-    let gram = topk_text::sim::overlap_coefficient(&ta.qgrams3, &tb.qgrams3);
+    let gram = topk_text::sim::overlap_coefficient(ta.qgrams3(), tb.qgrams3());
     0.5 * prefix_frac + 0.5 * gram - 0.62
 }
 

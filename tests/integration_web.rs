@@ -12,7 +12,7 @@ fn scorer(a: &TokenizedRecord, b: &TokenizedRecord) -> f64 {
     let ctx = FieldId(1);
     let (na, nb) = (a.field(name), b.field(name));
     // surface-form similarity
-    let surface = topk_text::sim::overlap_coefficient(&na.qgrams3, &nb.qgrams3);
+    let surface = topk_text::sim::overlap_coefficient(na.qgrams3(), nb.qgrams3());
     // acronym bridge: one form is the initials string of the other
     let initials_of = |t: &str| -> String {
         t.split_whitespace()
@@ -21,7 +21,7 @@ fn scorer(a: &TokenizedRecord, b: &TokenizedRecord) -> f64 {
     };
     let acro = na.text == initials_of(&nb.text) || nb.text == initials_of(&na.text);
     // context agreement
-    let ctx_sim = topk_text::sim::jaccard(&a.field(ctx).words, &b.field(ctx).words);
+    let ctx_sim = topk_text::sim::jaccard(a.field(ctx).words(), b.field(ctx).words());
     if acro {
         0.3 + ctx_sim
     } else {

@@ -9,10 +9,10 @@ use topk_records::{tokenize_dataset, FieldId, TokenizedRecord};
 
 fn scorer(a: &TokenizedRecord, b: &TokenizedRecord) -> f64 {
     let name = topk_text::sim::overlap_coefficient(
-        &a.field(FieldId(0)).qgrams3,
-        &b.field(FieldId(0)).qgrams3,
+        a.field(FieldId(0)).qgrams3(),
+        b.field(FieldId(0)).qgrams3(),
     );
-    let addr = topk_text::sim::jaccard(&a.field(FieldId(1)).words, &b.field(FieldId(1)).words);
+    let addr = topk_text::sim::jaccard(a.field(FieldId(1)).words(), b.field(FieldId(1)).words());
     0.5 * name + 0.5 * addr - 0.5
 }
 

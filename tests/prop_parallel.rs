@@ -17,8 +17,10 @@ use topk_records::{tokenize_dataset, FieldId, TokenizedRecord};
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn scorer(a: &TokenizedRecord, b: &TokenizedRecord) -> f64 {
-    topk_text::sim::overlap_coefficient(&a.field(FieldId(0)).qgrams3, &b.field(FieldId(0)).qgrams3)
-        - 0.5
+    topk_text::sim::overlap_coefficient(
+        a.field(FieldId(0)).qgrams3(),
+        b.field(FieldId(0)).qgrams3(),
+    ) - 0.5
 }
 
 /// Assert two pipeline outcomes are identical: same groups (members,

@@ -70,6 +70,38 @@ fn truncated_frames_and_garbage_do_not_take_the_server_down() {
 }
 
 #[test]
+fn a_field_that_is_not_utf8_is_refused_not_rewritten() {
+    use std::io::{BufRead, BufReader, Write};
+    watchdog(90);
+    let ts = TestServer::spawn(tight_config(), None).unwrap();
+    let mut c = ts.client().unwrap();
+    c.ingest_batch(&[(vec!["ada lovelace".into()], 1.0)])
+        .unwrap();
+    let stream = std::net::TcpStream::connect(&ts.addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut exchange = |request: &[u8]| {
+        (&stream).write_all(request).unwrap();
+        let mut response = String::new();
+        reader.read_line(&mut response).unwrap();
+        response
+    };
+    // "café society" in Latin-1: 0xE9 is not UTF-8. Replacing it with
+    // U+FFFD would ack, journal and serve back a record nobody sent.
+    let resp = exchange(b"{\"cmd\":\"ingest\",\"fields\":[\"caf\xe9 society\"]}\n");
+    assert!(resp.contains(r#""code":"bad_json""#), "{resp}");
+    let records = |stats: topk_service::Json| stats.get("records").unwrap().as_usize();
+    assert_eq!(records(c.stats().unwrap()), Some(1), "nothing was ingested");
+    // The connection survives, and the same text in UTF-8 goes in.
+    let resp = exchange("{\"cmd\":\"ingest\",\"fields\":[\"caf\u{e9} society\"]}\n".as_bytes());
+    assert!(resp.contains(r#""ok":true"#), "{resp}");
+    assert_eq!(records(c.stats().unwrap()), Some(2));
+    let top = c.topk(5).unwrap().to_string();
+    assert!(top.contains("caf\u{e9} society"), "{top}");
+    assert!(!top.contains('\u{fffd}'), "{top}");
+    ts.shutdown().unwrap();
+}
+
+#[test]
 fn mid_response_disconnect_is_survivable() {
     watchdog(90);
     let ts = TestServer::spawn(tight_config(), None).unwrap();
