@@ -44,7 +44,6 @@ fn bench_segmentation(c: &mut Criterion) {
                 k: 10,
                 r,
                 max_segment_len: 24,
-                ell_stride: 2,
             };
             g.bench_with_input(
                 BenchmarkId::new(format!("segment_topk_r{r}"), n),

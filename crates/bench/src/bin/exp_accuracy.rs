@@ -63,7 +63,6 @@ fn main() {
                 k: 0,
                 r: 1,
                 max_segment_len: 128,
-                ell_stride: 4,
             },
         );
         // Map the segmentation back to original record indices.

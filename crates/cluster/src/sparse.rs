@@ -160,7 +160,6 @@ pub fn segment_topk_sparse(
                 k: cfg.k.min(comp.len()),
                 r,
                 max_segment_len: cfg.max_segment_len,
-                ell_stride: cfg.ell_stride,
             };
             segment_topk(&permuted, &local_cfg)
                 .into_iter()

@@ -28,7 +28,7 @@
 //! symmetric to the upper bound is `min(avg(c_i), min_j avg(c_j))` by
 //! the mediant inequality's lower half.
 
-use topk_predicates::{NecessaryPredicate, PredicateStack};
+use topk_predicates::{NecessaryIndex, NecessaryPredicate, PredicateStack};
 use topk_records::TokenizedRecord;
 
 use crate::pipeline::{FinalGroup, PipelineConfig, PrunedDedup, PruningMode};
@@ -181,19 +181,9 @@ impl TopKAvgQuery {
 
 /// Verified `N`-neighbor lists over reps.
 fn neighbor_lists(reps: &[&TokenizedRecord], pred: &dyn NecessaryPredicate) -> Vec<Vec<u32>> {
-    let mut index = InvertedIndex::new();
-    let token_sets: Vec<_> = reps.iter().map(|r| pred.candidate_tokens(r)).collect();
-    for (i, ts) in token_sets.iter().enumerate() {
-        index.insert(i as u32, ts);
-    }
-    (0..reps.len())
-        .map(|i| {
-            index
-                .candidates(&token_sets[i], pred.min_common_tokens(), Some(i as u32))
-                .into_iter()
-                .filter(|&j| pred.matches(reps[i], reps[j as usize]))
-                .collect()
-        })
+    let canopy = NecessaryIndex::build(reps, pred);
+    (0..reps.len() as u32)
+        .map(|i| canopy.neighbors(i))
         .collect()
 }
 

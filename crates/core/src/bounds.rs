@@ -1,7 +1,7 @@
 //! Lower-bound estimation (§4.2) and pruning (§4.3).
 
 use topk_graph::{cpn_lower_bound, Graph};
-use topk_predicates::NecessaryPredicate;
+use topk_predicates::{NecessaryIndex, NecessaryPredicate};
 use topk_records::TokenizedRecord;
 use topk_text::{InvertedIndex, Parallelism};
 
@@ -186,21 +186,8 @@ pub fn prune_groups(
 ) -> PruneResult {
     assert_eq!(reps.len(), weights.len());
     let n = reps.len();
-    // Verified adjacency through the candidate index.
-    let mut index = InvertedIndex::new();
-    let token_sets: Vec<_> = reps.iter().map(|r| pred.candidate_tokens(r)).collect();
-    for (i, ts) in token_sets.iter().enumerate() {
-        index.insert(i as u32, ts);
-    }
-    let adjacency: Vec<Vec<u32>> = (0..n)
-        .map(|i| {
-            index
-                .candidates(&token_sets[i], pred.min_common_tokens(), Some(i as u32))
-                .into_iter()
-                .filter(|&j| pred.matches(reps[i], reps[j as usize]))
-                .collect()
-        })
-        .collect();
+    let canopy = NecessaryIndex::build(reps, pred);
+    let adjacency: Vec<Vec<u32>> = (0..n as u32).map(|i| canopy.neighbors(i)).collect();
 
     let mut upper: Vec<f64> = (0..n)
         .map(|i| {
@@ -233,12 +220,16 @@ pub fn prune_groups(
 }
 
 /// Faster §4.3 prune used inside the pipeline: bounds are computed from
-/// *unverified* canopy candidates (a superset of the true `N`-neighbors,
-/// so every intermediate bound stays a valid upper bound), and the
-/// expensive `N.matches` verification runs only for borderline groups
-/// that the loose bound failed to prune. This is the paper's §4.4 point
-/// that "the algorithm avoids full enumeration of pairs based on the
-/// typically weak necessary predicates".
+/// *unverified* canopy candidates — the pairs `N.admits` on their shared
+/// candidate-token count, a superset of the true `N`-neighbors, so every
+/// intermediate bound stays a valid upper bound — and the expensive
+/// `N.matches` verification runs only for borderline groups that the
+/// loose bound failed to prune. This is the paper's §4.4 point that "the
+/// algorithm avoids full enumeration of pairs based on the typically
+/// weak necessary predicates". The kept set lies between
+/// `prune_groups(.., refine_iterations + 1).kept` (exact adjacency, the
+/// verification pass counted as one more refinement) and what an
+/// unfiltered share-one-token canopy would keep.
 ///
 /// Returns the kept group indices in input order.
 pub fn prune_groups_fast(
@@ -261,7 +252,8 @@ pub fn prune_groups_fast(
 /// [`prune_groups_fast`] with an explicit thread budget.
 ///
 /// Four sub-stages fan out over scoped threads: candidate-token
-/// extraction, canopy candidate retrieval (read-only index probes), the
+/// extraction, canopy candidate retrieval (read-only index probes, each
+/// worker counting in its own scratch), the
 /// refinement passes (each pass reads the *previous* pass's bounds — a
 /// frozen snapshot — and writes disjoint entries, reassembled in index
 /// order), and the final lazy verification filter. Per-group neighbor
@@ -283,11 +275,7 @@ pub fn prune_groups_fast_par(
     sp.record("m_lower_bound", m_bound);
     sp.record("refine_iterations", refine_iterations);
     sp.record("threads", par.get());
-    let mut index = InvertedIndex::new();
-    let token_sets = par.map_slice(reps, |r| pred.candidate_tokens(r));
-    for (i, ts) in token_sets.iter().enumerate() {
-        index.insert(i as u32, ts);
-    }
+    let canopy = NecessaryIndex::build_par(reps, pred, par);
     let heavy: Vec<bool> = weights.iter().map(|&w| w >= m_bound).collect();
     // Candidate sets only for light groups — heavy groups are kept
     // unconditionally and (since u ≥ w ≥ M) always contribute to their
@@ -296,7 +284,7 @@ pub fn prune_groups_fast_par(
         if heavy[i] {
             Vec::new()
         } else {
-            index.candidates(&token_sets[i], pred.min_common_tokens(), Some(i as u32))
+            canopy.candidates(i as u32)
         }
     });
     let mut upper: Vec<f64> = par.map_indices(n, |i| {
@@ -345,7 +333,7 @@ pub fn prune_groups_fast_par(
         let verified: f64 = candidates[iu]
             .iter()
             .filter(|&&j| upper[j as usize] > m_bound)
-            .filter(|&&j| pred.matches(reps[iu], reps[j as usize]))
+            .filter(|&&j| canopy.matches(iu as u32, j))
             .map(|&j| weights[j as usize])
             .sum();
         weights[iu] + verified > m_bound

@@ -10,7 +10,7 @@
 //! limits).
 
 use topk_cluster::{exact_correlation_clustering, PairScorer, PairScores, SparseScores};
-use topk_predicates::PredicateStack;
+use topk_predicates::{NecessaryIndex, PredicateStack};
 use topk_records::{Partition, TokenizedRecord};
 
 use crate::pipeline::{PipelineConfig, PrunedDedup, PruningMode};
@@ -63,13 +63,9 @@ pub fn deduplicate(
     // Score canopy pairs sparsely.
     let mut ss = SparseScores::new(weights.clone(), non_canopy_score.min(-1e-9));
     if let Some((_, n_pred)) = stack.levels.last() {
-        let mut index = topk_text::InvertedIndex::new();
-        let token_sets: Vec<_> = reps.iter().map(|r| n_pred.candidate_tokens(r)).collect();
-        for (i, ts) in token_sets.iter().enumerate() {
-            index.insert(i as u32, ts);
-        }
-        for (i, ts) in token_sets.iter().enumerate() {
-            for j in index.candidates(ts, n_pred.min_common_tokens(), Some(i as u32)) {
+        let canopy = NecessaryIndex::build(&reps, n_pred.as_ref());
+        for i in 0..n {
+            for j in canopy.candidates(i as u32) {
                 let j = j as usize;
                 if j > i && n_pred.matches(reps[i], reps[j]) {
                     ss.insert(

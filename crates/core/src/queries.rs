@@ -5,7 +5,7 @@ use topk_cluster::{
     agglomerate, frontier_topr, greedy_embedding, segment_topk, segment_topk_sparse, Linkage,
     PairScorer, PairScores, SegmentConfig, SparseScores,
 };
-use topk_predicates::{collapse_par, PredicateStack};
+use topk_predicates::{collapse_par, NecessaryIndex, PredicateStack};
 use topk_records::TokenizedRecord;
 use topk_text::Parallelism;
 
@@ -69,8 +69,6 @@ pub struct TopKQuery {
     /// Cap on segment length in the DP (see
     /// [`SegmentConfig::max_segment_len`]).
     pub max_segment_len: usize,
-    /// `ℓ` stride in the DP (1 = exact).
-    pub ell_stride: usize,
     /// Score assigned (scaled by group weights) to pairs failing the last
     /// necessary predicate — Algorithm 2 line 9 applies `P` only to
     /// canopy-surviving pairs; the rest are certain non-duplicates.
@@ -102,7 +100,6 @@ impl TopKQuery {
             r,
             alpha: 0.6,
             max_segment_len: 256,
-            ell_stride: 1,
             non_canopy_score: -1.0,
             max_final_items: 50_000,
             sparse_threshold: 2_000,
@@ -151,7 +148,7 @@ fn final_answers(
     groups: &[FinalGroup],
 ) -> Vec<TopKAnswer> {
     let (k, r) = (q.k, q.r);
-    let (alpha, max_segment_len, ell_stride) = (q.alpha, q.max_segment_len, q.ell_stride);
+    let (alpha, max_segment_len) = (q.alpha, q.max_segment_len);
     let (non_canopy_score, method) = (q.non_canopy_score, q.method);
     let n = groups.len();
     if n == 0 {
@@ -176,19 +173,13 @@ fn final_answers(
     if n > q.sparse_threshold && method == AnswerMethod::Segmentation {
         let mut ss = SparseScores::new(weights.clone(), non_canopy_score.min(-1e-9));
         if let Some(n_pred) = last_n {
-            let mut index = topk_text::InvertedIndex::new();
-            let token_sets = q
-                .parallelism
-                .map_slice(&reps, |rp| n_pred.candidate_tokens(rp));
-            for (i, ts) in token_sets.iter().enumerate() {
-                index.insert(i as u32, ts);
-            }
+            let canopy = NecessaryIndex::build_par(&reps, n_pred, q.parallelism);
             // Score canopy pairs in parallel (row-sharded, read-only
             // probes), then insert sequentially in row order so the
             // sparse matrix is built identically for every thread count.
             let scored = q.parallelism.map_indices(n, |i| {
-                index
-                    .candidates(&token_sets[i], n_pred.min_common_tokens(), Some(i as u32))
+                canopy
+                    .candidates(i as u32)
                     .into_iter()
                     .map(|j| j as usize)
                     .filter(|&j| j > i && n_pred.matches(reps[i], reps[j]))
@@ -205,7 +196,6 @@ fn final_answers(
             k,
             r: spare_r,
             max_segment_len,
-            ell_stride,
         };
         let sparse_answers = segment_topk_sparse(&ss, &cfg, alpha, 2048);
         let candidates: Vec<(f64, Vec<Vec<usize>>)> = sparse_answers
@@ -249,7 +239,6 @@ fn final_answers(
                 k,
                 r: spare_r,
                 max_segment_len,
-                ell_stride,
             };
             segment_topk(&permuted, &cfg)
                 .into_iter()

@@ -1,9 +1,10 @@
 //! Blocking index over sufficient-predicate keys, and the necessary-
-//! predicate candidate index.
+//! predicate canopy.
 
 use std::collections::HashMap;
 
 use topk_records::TokenizedRecord;
+use topk_text::tokenize::TokenSet;
 use topk_text::{InvertedIndex, Parallelism};
 
 use crate::traits::{NecessaryPredicate, SufficientPredicate};
@@ -55,44 +56,67 @@ impl BlockIndex {
     }
 }
 
-/// Candidate index for a necessary predicate over a fixed set of
-/// representatives: retrieval through an inverted index on candidate
-/// tokens, verification through `N.matches`.
+/// The canopy of a necessary predicate over a fixed set of
+/// representatives: every representative's candidate tokens,
+/// materialised once, in an inverted index. Retrieval is one counted
+/// probe filtered by [`NecessaryPredicate::admits`]; verification is
+/// `N.matches`. The batch pipeline's prune, rank bounds, sparse scoring
+/// and full dedup all find their `N`-pairs here.
 pub struct NecessaryIndex<'a> {
     reps: &'a [&'a TokenizedRecord],
     pred: &'a dyn NecessaryPredicate,
+    token_sets: Vec<TokenSet>,
     index: InvertedIndex,
 }
 
 impl<'a> NecessaryIndex<'a> {
     /// Index every representative's candidate tokens.
     pub fn build(reps: &'a [&'a TokenizedRecord], pred: &'a dyn NecessaryPredicate) -> Self {
-        let mut index = InvertedIndex::new();
-        for (i, r) in reps.iter().enumerate() {
-            index.insert(i as u32, &pred.candidate_tokens(r));
-        }
-        NecessaryIndex { reps, pred, index }
+        Self::build_par(reps, pred, Parallelism::sequential())
     }
 
-    /// All items `j ≠ i` with `N(reps[i], reps[j]) = true` (verified).
-    pub fn neighbors(&self, i: u32) -> Vec<u32> {
-        let ts = self.pred.candidate_tokens(self.reps[i as usize]);
+    /// [`NecessaryIndex::build`] with an explicit thread budget: token
+    /// extraction fans out, insertion runs sequentially in index order.
+    pub fn build_par(
+        reps: &'a [&'a TokenizedRecord],
+        pred: &'a dyn NecessaryPredicate,
+        par: Parallelism,
+    ) -> Self {
+        let token_sets = par.map_slice(reps, |r| pred.candidate_tokens(r));
+        let mut index = InvertedIndex::new();
+        for (i, ts) in token_sets.iter().enumerate() {
+            index.insert(i as u32, ts);
+        }
+        NecessaryIndex {
+            reps,
+            pred,
+            token_sets,
+            index,
+        }
+    }
+
+    /// Admitted candidates of `i`, unverified: every `j ≠ i` whose shared
+    /// candidate-token count `N.admits`, in ascending order. A superset
+    /// of [`neighbors`](Self::neighbors) by the `admits` contract.
+    pub fn candidates(&self, i: u32) -> Vec<u32> {
+        let ts = &self.token_sets[i as usize];
         self.index
-            .candidates(&ts, self.pred.min_common_tokens(), Some(i))
+            .candidates_with_counts(ts, Some(i))
             .into_iter()
-            .filter(|&j| {
+            .filter(|&(j, common)| {
                 self.pred
-                    .matches(self.reps[i as usize], self.reps[j as usize])
+                    .admits(common, ts.len(), self.token_sets[j as usize].len())
             })
+            .map(|(j, _)| j)
             .collect()
     }
 
-    /// Unverified candidates only (share enough tokens); cheaper when the
-    /// caller batches verification.
-    pub fn candidates(&self, i: u32) -> Vec<u32> {
-        let ts = self.pred.candidate_tokens(self.reps[i as usize]);
-        self.index
-            .candidates(&ts, self.pred.min_common_tokens(), Some(i))
+    /// All items `j ≠ i` with `N(reps[i], reps[j]) = true` (verified), in
+    /// ascending order.
+    pub fn neighbors(&self, i: u32) -> Vec<u32> {
+        let mut out = self.candidates(i);
+        out.retain(|&j| self.matches(i, j));
+        out
     }
 
     /// Verify `N` on a specific pair.
@@ -115,7 +139,7 @@ impl<'a> NecessaryIndex<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generic::{ExactFieldsMatch, WordOverlapNecessary};
+    use crate::generic::{ExactFieldsMatch, QgramFractionNecessary, WordOverlapNecessary};
     use topk_records::FieldId;
 
     fn rec(name: &str) -> TokenizedRecord {
@@ -145,5 +169,42 @@ mod tests {
         assert!(ni.matches(0, 1));
         assert!(!ni.matches(0, 2));
         assert_eq!(ni.len(), 3);
+    }
+
+    /// Sharing a gram is not enough to be a candidate: the canopy offers
+    /// exactly the pairs `admits` accepts on their counts, which still
+    /// covers every verified neighbour.
+    #[test]
+    fn candidates_are_the_admitted_pairs() {
+        let rs = [
+            rec("sunita sarawagi"),
+            rec("sunita sarawagy"),
+            rec("sunil saraf"),
+            rec("vinay deshpande"),
+        ];
+        let refs: Vec<&TokenizedRecord> = rs.iter().collect();
+        let n = QgramFractionNecessary::new("n", FieldId(0), 0.6, false);
+        let ni = NecessaryIndex::build(&refs, &n);
+        let grams: Vec<_> = refs.iter().map(|r| n.candidate_tokens(r)).collect();
+        for i in 0..refs.len() {
+            let admitted: Vec<u32> = (0..refs.len())
+                .filter(|&j| j != i)
+                .filter(|&j| {
+                    let common = grams[i].intersection_size(&grams[j]);
+                    common > 0 && n.admits(common, grams[i].len(), grams[j].len())
+                })
+                .map(|j| j as u32)
+                .collect();
+            assert_eq!(ni.candidates(i as u32), admitted, "item {i}");
+            let neighbors = ni.neighbors(i as u32);
+            assert!(neighbors.iter().all(|j| admitted.contains(j)));
+        }
+        assert_eq!(ni.candidates(0), vec![1]);
+        assert_eq!(ni.neighbors(0), vec![1]);
+        // "sunil saraf" shares grams with both sunitas and is admitted by
+        // neither.
+        assert!(grams[2].intersection_size(&grams[0]) > 0);
+        assert!(grams[2].intersection_size(&grams[1]) > 0);
+        assert!(ni.candidates(2).is_empty());
     }
 }

@@ -122,6 +122,9 @@ impl<A: NecessaryPredicate, B: NecessaryPredicate> NecessaryPredicate for AndNec
     fn min_common_tokens(&self) -> usize {
         self.a.min_common_tokens()
     }
+    fn admits(&self, common: usize, a_len: usize, b_len: usize) -> bool {
+        self.a.admits(common, a_len, b_len)
+    }
     fn matches(&self, x: &TokenizedRecord, y: &TokenizedRecord) -> bool {
         self.a.matches(x, y) && self.b.matches(x, y)
     }
@@ -180,6 +183,17 @@ mod tests {
             QgramFractionNecessary::new("q", FieldId(0), 0.3, false),
         );
         assert!(check_necessary_contract(&and_n, &refs).is_empty());
+        // Admission follows the side whose tokens are indexed: with the
+        // q-gram predicate first, one shared gram of ten is not enough.
+        let and_q = AndNecessary::new(
+            QgramFractionNecessary::new("q", FieldId(0), 0.3, false),
+            WordOverlapNecessary::new("w", vec![FieldId(0)], 1, None),
+        );
+        assert!(and_q.matches(refs[0], refs[1]));
+        assert!(check_necessary_contract(&and_q, &refs).is_empty());
+        assert!(and_n.admits(1, 10, 10));
+        assert!(!and_q.admits(1, 10, 10));
+        assert!(and_q.admits(4, 10, 10));
     }
 
     #[test]

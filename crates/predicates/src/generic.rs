@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use topk_records::{FieldId, TokenizedRecord};
 use topk_text::hash::{combine, hash_str};
-use topk_text::sim::overlap_fraction_of_smaller;
+use topk_text::sim::{overlap_coefficient_of_counts, overlap_fraction_of_smaller};
 use topk_text::stopwords::StopWords;
 use topk_text::tokenize::{initials_match, last_word, TokenSet};
 use topk_text::CorpusStats;
@@ -369,6 +369,12 @@ impl NecessaryPredicate for QgramFractionNecessary {
     fn candidate_tokens(&self, r: &TokenizedRecord) -> TokenSet {
         r.field(self.field).qgrams3().clone()
     }
+    // The candidate tokens are the gram sets `matches` measures, so this
+    // is its first test on the same three integers. The common-initial
+    // requirement is ignored, which only loosens.
+    fn admits(&self, common: usize, a_len: usize, b_len: usize) -> bool {
+        overlap_coefficient_of_counts(common, a_len, b_len) > self.min_fraction
+    }
     fn matches(&self, a: &TokenizedRecord, b: &TokenizedRecord) -> bool {
         let (fa, fb) = (a.field(self.field), b.field(self.field));
         if overlap_fraction_of_smaller(fa.qgrams3(), fb.qgrams3()) <= self.min_fraction {
@@ -511,6 +517,14 @@ impl NecessaryPredicate for ExactPlusQgramNecessary {
                 .map(|&g| combine(eh, g))
                 .collect(),
         )
+    }
+    // A matching pair agrees on the exact fields, hence on `eh`, and
+    // `combine(eh, ·)` is injective for a fixed `eh` (an odd multiply, an
+    // add and a xor): each side's tokens are its grams one to one, and
+    // the shared tokens are the shared grams. Tokens colliding across
+    // different `eh` only add to `common`, which only loosens.
+    fn admits(&self, common: usize, a_len: usize, b_len: usize) -> bool {
+        overlap_coefficient_of_counts(common, a_len, b_len) >= self.min_fraction
     }
     fn matches(&self, a: &TokenizedRecord, b: &TokenizedRecord) -> bool {
         self.exact

@@ -13,7 +13,24 @@
 //!
 //! * any pair with `S(a,b) = true` shares at least one *blocking key*;
 //! * any pair with `N(a,b) = true` shares at least `min_common_tokens()`
-//!   *candidate tokens*.
+//!   *candidate tokens*, and is *admitted* by
+//!   [`admits`](NecessaryPredicate::admits) on the three integers a
+//!   counted probe of the candidate index knows about it: how many
+//!   candidate tokens the two records share and how many each has.
+//!
+//! `admits` is what keeps the canopy of §4.3 small. A predicate that asks
+//! for more than 60 % of the smaller 3-gram set says far more about a
+//! pair than "they share a gram"; overriding `admits` with that same test
+//! lets the prune compute its upper bounds over the pairs that can still
+//! match instead of over every pair sharing one token. The soundness
+//! condition is `matches(a, b) ⇒ admits(|Ta ∩ Tb|, |Ta|, |Tb|)` with
+//! `T = candidate_tokens`: admitted candidates are then a superset of the
+//! true `N`-neighbours and every bound computed over them is still an
+//! upper bound. Override it only when the candidate tokens *are* the set
+//! `matches` measures, and with the same arithmetic `matches` uses, so
+//! the two cannot disagree by a rounding; otherwise keep the default.
+//! [`check_necessary_contract`](crate::check_necessary_contract) reports
+//! any matching pair that is not admitted.
 //!
 //! # Implementing a custom predicate
 //!
@@ -134,6 +151,17 @@ pub trait NecessaryPredicate: Send + Sync {
         1
     }
 
+    /// Whether a pair sharing `common` candidate tokens, out of `a_len`
+    /// and `b_len` on either side, can still match. Soundness contract:
+    /// `matches(a, b)` implies `admits(|Ta ∩ Tb|, |Ta|, |Tb|)` for
+    /// `T = candidate_tokens`; the answer must not shrink as `common`
+    /// grows (spurious shared tokens may only loosen it). The default is
+    /// the [`min_common_tokens`](Self::min_common_tokens) contract.
+    fn admits(&self, common: usize, a_len: usize, b_len: usize) -> bool {
+        let _ = (a_len, b_len);
+        common >= self.min_common_tokens()
+    }
+
     /// Evaluate the predicate on a pair.
     fn matches(&self, a: &TokenizedRecord, b: &TokenizedRecord) -> bool;
 }
@@ -158,5 +186,11 @@ mod tests {
     #[test]
     fn default_min_common_is_one() {
         assert_eq!(Always.min_common_tokens(), 1);
+    }
+
+    #[test]
+    fn default_admission_is_the_min_common_contract() {
+        assert!(!Always.admits(0, 5, 5));
+        assert!(Always.admits(1, 5, 5));
     }
 }

@@ -6,8 +6,9 @@
 //! * a [`SufficientPredicate`]'s matching pairs must share a blocking
 //!   key, or collapse silently misses duplicates;
 //! * a [`NecessaryPredicate`]'s matching pairs must share at least
-//!   `min_common_tokens` candidate tokens, or the canopy join misses
-//!   edges and the upper bounds of §4.3 become invalid.
+//!   `min_common_tokens` candidate tokens and be admitted by `admits` on
+//!   their shared-token count, or the canopy join misses edges and the
+//!   upper bounds of §4.3 become invalid.
 //!
 //! These helpers exhaustively check the contracts on a sample (use a few
 //! hundred records); they are meant for tests and for developing new
@@ -38,6 +39,9 @@ pub enum ViolationKind {
     /// `N.matches` is true but the records share fewer than
     /// `min_common_tokens` candidate tokens.
     MissingCandidateTokens,
+    /// `N.matches` is true but `N.admits` refuses the pair's candidate-
+    /// token counts, so the canopy would never offer it.
+    NotAdmitted,
     /// `S.matches` is true on a pair the ground truth separates.
     UnsoundSufficient,
     /// `N.matches` is false on a pair the ground truth groups.
@@ -65,8 +69,8 @@ pub fn check_sufficient_contract(
     out
 }
 
-/// Check the candidate-token contract of a necessary predicate on all
-/// sample pairs.
+/// Check the candidate-token and admission contracts of a necessary
+/// predicate on all sample pairs.
 pub fn check_necessary_contract(
     n: &dyn NecessaryPredicate,
     sample: &[&TokenizedRecord],
@@ -75,12 +79,21 @@ pub fn check_necessary_contract(
     let mut out = Vec::new();
     for i in 0..sample.len() {
         for j in (i + 1)..sample.len() {
-            if n.matches(sample[i], sample[j])
-                && tokens[i].intersection_size(&tokens[j]) < n.min_common_tokens()
-            {
+            if !n.matches(sample[i], sample[j]) {
+                continue;
+            }
+            let common = tokens[i].intersection_size(&tokens[j]);
+            let (li, lj) = (tokens[i].len(), tokens[j].len());
+            if common < n.min_common_tokens() {
                 out.push(Violation {
                     pair: (i, j),
                     kind: ViolationKind::MissingCandidateTokens,
+                });
+            } else if !n.admits(common, li, lj) || !n.admits(common, lj, li) {
+                // A canopy probes a pair from either side.
+                out.push(Violation {
+                    pair: (i, j),
+                    kind: ViolationKind::NotAdmitted,
                 });
             }
         }
@@ -192,28 +205,122 @@ mod tests {
         assert_eq!(v[0].kind, ViolationKind::MissingCandidateTokens);
     }
 
+    /// N whose `admits` asks for more than its `matches` does: names
+    /// match on one shared word, the canopy is told to want two.
+    struct OverStrictAdmission;
+    impl NecessaryPredicate for OverStrictAdmission {
+        fn name(&self) -> &str {
+            "over-strict"
+        }
+        fn candidate_tokens(&self, r: &TokenizedRecord) -> TokenSet {
+            r.field(FieldId(0)).words().clone()
+        }
+        fn admits(&self, common: usize, _: usize, _: usize) -> bool {
+            common >= 2
+        }
+        fn matches(&self, a: &TokenizedRecord, b: &TokenizedRecord) -> bool {
+            a.field(FieldId(0))
+                .words()
+                .intersection_size(b.field(FieldId(0)).words())
+                >= 1
+        }
+    }
+
+    #[test]
+    fn catches_a_matching_pair_the_canopy_would_not_admit() {
+        let rs = [rec("a b c"), rec("a b d"), rec("c e")];
+        let refs: Vec<&TokenizedRecord> = rs.iter().collect();
+        let v = check_necessary_contract(&OverStrictAdmission, &refs);
+        // (0, 1) share two words and are admitted; (0, 2) match on "c"
+        // alone and are not.
+        assert_eq!(
+            v,
+            vec![Violation {
+                pair: (0, 2),
+                kind: ViolationKind::NotAdmitted,
+            }]
+        );
+    }
+
+    /// Every library stack on its own generator's data: blocking keys,
+    /// candidate tokens, and `matches ⇒ admits` for the N predicates that
+    /// filter their canopy by shared-gram count.
     #[test]
     fn library_predicates_pass_contracts() {
-        let d = topk_datagen::generate_students(&topk_datagen::StudentConfig {
+        use topk_datagen as gen;
+        let check = |what: &str, stack: &crate::PredicateStack, toks: &[TokenizedRecord]| {
+            let refs: Vec<&TokenizedRecord> = toks.iter().collect();
+            for (s, n) in &stack.levels {
+                assert!(
+                    check_sufficient_contract(s.as_ref(), &refs).is_empty(),
+                    "{what}: S contract broken for {}",
+                    s.name()
+                );
+                let broken = check_necessary_contract(n.as_ref(), &refs);
+                assert!(
+                    broken.is_empty(),
+                    "{what}: N contract broken for {}: {:?}",
+                    n.name(),
+                    &broken[..broken.len().min(3)]
+                );
+                let pairs = (0..refs.len())
+                    .flat_map(|i| ((i + 1)..refs.len()).map(move |j| (i, j)))
+                    .filter(|&(i, j)| n.matches(refs[i], refs[j]))
+                    .count();
+                assert!(pairs > 0, "{what}: no pair matches {}", n.name());
+            }
+        };
+        let d = gen::generate_students(&gen::StudentConfig {
             n_students: 30,
             n_records: 150,
             ..Default::default()
         });
         let toks = topk_records::tokenize_dataset(&d);
-        let refs: Vec<&TokenizedRecord> = toks.iter().collect();
-        let stack = crate::library::student_predicates(d.schema());
-        for (s, n) in &stack.levels {
-            assert!(
-                check_sufficient_contract(s.as_ref(), &refs).is_empty(),
-                "S contract broken for {}",
-                s.name()
-            );
-            assert!(
-                check_necessary_contract(n.as_ref(), &refs).is_empty(),
-                "N contract broken for {}",
-                n.name()
-            );
-        }
+        check(
+            "students",
+            &crate::library::student_predicates(d.schema()),
+            &toks,
+        );
+        let d = gen::generate_citations(&gen::CitationConfig {
+            n_authors: 40,
+            n_citations: 160,
+            ..Default::default()
+        });
+        let toks = topk_records::tokenize_dataset(&d);
+        check(
+            "citations",
+            &crate::library::citation_predicates(d.schema(), &toks),
+            &toks,
+        );
+        let d = gen::generate_addresses(&gen::AddressConfig {
+            n_entities: 40,
+            n_records: 160,
+            ..Default::default()
+        });
+        let toks = topk_records::tokenize_dataset(&d);
+        check(
+            "addresses",
+            &crate::library::address_predicates(d.schema()),
+            &toks,
+        );
+        let d = gen::generate_web_mentions(&gen::WebConfig {
+            n_orgs: 30,
+            n_records: 150,
+            ..Default::default()
+        });
+        let toks = topk_records::tokenize_dataset(&d);
+        check("web", &crate::library::web_predicates(d.schema()), &toks);
+        let d = gen::generate_products(&gen::ProductConfig {
+            n_products: 40,
+            n_records: 160,
+            ..Default::default()
+        });
+        let toks = topk_records::tokenize_dataset(&d);
+        check(
+            "products",
+            &crate::library::product_predicates(d.schema()),
+            &toks,
+        );
     }
 
     #[test]

@@ -239,4 +239,35 @@ mod tests {
             load_corpus(Path::new("/nonexistent/x.tsv"), &CorpusOptions::default()).unwrap_err();
         assert!(err.contains("cannot read"), "{err}");
     }
+
+    /// The generic stack's N filters its canopy by shared-gram count
+    /// (`admits`); every pair it matches must be admitted, on both
+    /// corpora the benchmark runs it over.
+    #[test]
+    fn the_generic_necessary_predicate_admits_every_pair_it_matches() {
+        let students = topk_datagen::generate_students(&topk_datagen::StudentConfig {
+            n_students: 40,
+            n_records: 200,
+            ..Default::default()
+        });
+        let citations = topk_datagen::generate_citations(&topk_datagen::CitationConfig {
+            n_authors: 40,
+            n_citations: 160,
+            ..Default::default()
+        });
+        for (data, name) in [(&students, "name"), (&citations, "author")] {
+            let toks = topk_records::tokenize_dataset(data);
+            let refs: Vec<&TokenizedRecord> = toks.iter().collect();
+            let field = data.schema().field_id(name).expect("match field");
+            let stack = generic_stack(&toks, field, 30, 0.6);
+            let (_, n) = &stack.levels[0];
+            let matching = (0..refs.len())
+                .flat_map(|i| ((i + 1)..refs.len()).map(move |j| (i, j)))
+                .filter(|&(i, j)| n.matches(refs[i], refs[j]))
+                .count();
+            assert!(matching > 0, "{name}: no matching pair to check");
+            let broken = topk_predicates::check_necessary_contract(n.as_ref(), &refs);
+            assert!(broken.is_empty(), "{name}: {:?}", broken.first());
+        }
+    }
 }

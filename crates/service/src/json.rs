@@ -154,11 +154,18 @@ fn write_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, and a stack overflow aborts the process —
+/// `catch_unwind` cannot contain it — so the depth is bounded here, far
+/// above the four levels the protocol nests. It bounds [`Json`]'s
+/// recursive drop as well.
+pub const MAX_DEPTH: usize = 32;
+
 /// Parse one JSON document, requiring it to span the whole input (modulo
 /// surrounding whitespace).
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut pos = 0;
-    let value = parse_value(input, &mut pos)?;
+    let value = parse_value(input, &mut pos, 0)?;
     skip_ws(input.as_bytes(), &mut pos);
     if pos != input.len() {
         return Err(format!("trailing bytes at offset {pos}"));
@@ -172,13 +179,18 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(s: &str, pos: &mut usize) -> Result<Json, String> {
+/// `depth` counts the arrays and objects already open around this value.
+fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
     let b = s.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(s, pos),
-        Some(b'[') => parse_arr(s, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nested deeper than {MAX_DEPTH} levels at offset {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_obj(s, pos, depth + 1),
+        Some(b'[') => parse_arr(s, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_str(s, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -289,7 +301,7 @@ fn parse_hex4(b: &[u8], pos: &mut usize) -> Result<u32, String> {
     u32::from_str_radix(hex, 16).map_err(|_| format!("bad hex `{hex}`"))
 }
 
-fn parse_arr(s: &str, pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(s: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
     let b = s.as_bytes();
     *pos += 1; // consume '['
     let mut items = Vec::new();
@@ -299,7 +311,7 @@ fn parse_arr(s: &str, pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(s, pos)?);
+        items.push(parse_value(s, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -312,7 +324,7 @@ fn parse_arr(s: &str, pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(s: &str, pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(s: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
     let b = s.as_bytes();
     *pos += 1; // consume '{'
     let mut members: Vec<(String, Json)> = Vec::new();
@@ -335,7 +347,7 @@ fn parse_obj(s: &str, pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected `:` at offset {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(s, pos)?;
+        let value = parse_value(s, pos, depth)?;
         members.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -655,6 +667,28 @@ mod tests {
             want.len() * ((1 << 20) / unit.len() + 1)
         );
         assert!(took < std::time::Duration::from_secs(1), "{took:?}");
+    }
+
+    /// Nesting is accepted up to [`MAX_DEPTH`] and refused one level
+    /// past it, before the recursion that would otherwise run once per
+    /// bracket: 20 000 of them overflowed the connection thread's stack
+    /// and aborted the server.
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), (r#"{"a":"#, "}")] {
+            assert!(parse(&nested(open, close, MAX_DEPTH)).is_ok());
+            let err = parse(&nested(open, close, MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.contains("nested deeper"), "{err}");
+            // Unclosed, as an attacker would send it.
+            let err = parse(&open.repeat(20_000)).unwrap_err();
+            assert!(err.contains("nested deeper"), "{err}");
+        }
+        // Depth, not the number of containers: siblings do not add up.
+        let wide = format!("[{}]", vec!["[[1]]"; 1000].join(","));
+        assert!(parse(&wide).is_ok());
     }
 
     #[test]

@@ -14,5 +14,8 @@ mod tfidf;
 pub use edit::{levenshtein, levenshtein_normalized, levenshtein_similarity};
 pub use hybrid::{monge_elkan, monge_elkan_sym, smith_waterman, soft_tfidf};
 pub use jaro::{jaro, jaro_winkler};
-pub use sets::{common_count, dice, jaccard, overlap_coefficient, overlap_fraction_of_smaller};
+pub use sets::{
+    common_count, dice, jaccard, overlap_coefficient, overlap_coefficient_of_counts,
+    overlap_fraction_of_smaller,
+};
 pub use tfidf::{tfidf_cosine, weighted_jaccard};

@@ -32,11 +32,20 @@ pub fn dice(a: &TokenSet, b: &TokenSet) -> f64 {
 /// Overlap coefficient `|A ∩ B| / min(|A|, |B|)`; 0 when either set is
 /// empty.
 pub fn overlap_coefficient(a: &TokenSet, b: &TokenSet) -> f64 {
-    let m = a.len().min(b.len());
+    overlap_coefficient_of_counts(a.intersection_size(b), a.len(), b.len())
+}
+
+/// [`overlap_coefficient`] from the three integers it divides. Predicates
+/// thresholding the coefficient answer `NecessaryPredicate::admits` with
+/// this, so a canopy filtered on counts and `matches` on the sets cannot
+/// disagree by a rounding.
+#[inline]
+pub fn overlap_coefficient_of_counts(common: usize, a_len: usize, b_len: usize) -> f64 {
+    let m = a_len.min(b_len);
     if m == 0 {
         0.0
     } else {
-        a.intersection_size(b) as f64 / m as f64
+        common as f64 / m as f64
     }
 }
 

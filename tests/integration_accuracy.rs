@@ -61,7 +61,6 @@ fn segmentation_matches_exact_grouping_on_address_sample() {
             k: 0,
             r: 1,
             max_segment_len: 96,
-            ell_stride: 4,
         },
     );
     let seg_embedded = answers[0].partition();

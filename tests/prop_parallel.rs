@@ -10,7 +10,10 @@
 
 use proptest::prelude::*;
 
-use topk_core::{Parallelism, PipelineConfig, PipelineOutcome, PrunedDedup, TopKQuery};
+use topk_core::bounds::prune_groups_fast_par;
+use topk_core::{
+    prune_groups_fast, Parallelism, PipelineConfig, PipelineOutcome, PrunedDedup, TopKQuery,
+};
 use topk_datagen::{generate_addresses, generate_citations, AddressConfig, CitationConfig};
 use topk_records::{tokenize_dataset, FieldId, TokenizedRecord};
 
@@ -131,6 +134,41 @@ proptest! {
                 seq.stats.final_group_count(),
                 par.stats.final_group_count()
             );
+        }
+    }
+
+    /// The counted canopy probe keeps its counters in per-thread scratch:
+    /// probing one shared index from 1, 2 or 4 workers must return the
+    /// same admitted candidates, in the same (ascending) order, and the
+    /// prune built on them the same kept set. Records stand in for
+    /// groups so that the fan-out is well above the sequential cutoff.
+    #[test]
+    fn canopy_probe_and_prune_match_sequential(seed in 0u64..300, m_bound in 2u32..6) {
+        let data = generate_citations(&CitationConfig {
+            n_authors: 50,
+            n_citations: 260,
+            seed,
+            ..Default::default()
+        });
+        let toks = tokenize_dataset(&data);
+        let stack = topk_predicates::citation_predicates(data.schema(), &toks);
+        let n_pred = stack.levels[0].1.as_ref();
+        let reps: Vec<&TokenizedRecord> = toks.iter().collect();
+        let weights = vec![1.0; reps.len()];
+        let n = reps.len();
+
+        let seq_canopy = topk_predicates::NecessaryIndex::build(&reps, n_pred);
+        let seq_lists: Vec<Vec<u32>> = (0..n as u32).map(|i| seq_canopy.candidates(i)).collect();
+        prop_assert!(seq_lists.iter().any(|l| !l.is_empty()));
+        let m_bound = f64::from(m_bound);
+        let seq_kept = prune_groups_fast(&reps, &weights, n_pred, m_bound, 2);
+        for threads in THREAD_COUNTS {
+            let par = Parallelism::threads(threads);
+            let canopy = topk_predicates::NecessaryIndex::build_par(&reps, n_pred, par);
+            let lists = par.map_indices(n, |i| canopy.candidates(i as u32));
+            prop_assert_eq!(&seq_lists, &lists, "candidates diverged at {} threads", threads);
+            let kept = prune_groups_fast_par(&reps, &weights, n_pred, m_bound, 2, par);
+            prop_assert_eq!(&seq_kept, &kept, "kept set diverged at {} threads", threads);
         }
     }
 }

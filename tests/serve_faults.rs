@@ -101,6 +101,54 @@ fn a_field_that_is_not_utf8_is_refused_not_rewritten() {
     ts.shutdown().unwrap();
 }
 
+/// One request line of nothing but `[` (or `{"a":`) used to recurse the
+/// parser once per bracket on the connection thread until its stack
+/// overflowed, which aborts the process: no envelope, no server, the next
+/// `connect` refused. 20 000 brackets are far under any request cap.
+#[test]
+fn deep_nesting_gets_an_envelope_instead_of_a_stack_overflow() {
+    use std::io::{BufRead, BufReader, Write};
+    use topk_service::json::MAX_DEPTH;
+    watchdog(90);
+    let config = ServerConfig {
+        max_request_bytes: 1 << 20,
+        ..tight_config()
+    };
+    let ts = TestServer::spawn(config, None).unwrap();
+    let stream = std::net::TcpStream::connect(&ts.addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut exchange = |request: &str| {
+        (&stream).write_all(request.as_bytes()).unwrap();
+        (&stream).write_all(b"\n").unwrap();
+        let mut response = String::new();
+        reader.read_line(&mut response).unwrap();
+        response
+    };
+    for open in ["[", r#"{"a":"#] {
+        let resp = exchange(&open.repeat(20_000));
+        assert!(resp.contains(r#""code":"bad_json""#), "{resp}");
+        // The same connection serves the next request.
+        let resp = exchange(r#"{"cmd":"ping"}"#);
+        assert!(resp.contains(r#""ok":true"#), "{resp}");
+    }
+    // The request object is one level; an (ignored) member nested down to
+    // exactly the bound still parses, one level more does not.
+    let ping_with = |depth: usize| {
+        format!(
+            r#"{{"cmd":"ping","pad":{}0{}}}"#,
+            "[".repeat(depth),
+            "]".repeat(depth)
+        )
+    };
+    let resp = exchange(&ping_with(MAX_DEPTH - 1));
+    assert!(resp.contains(r#""ok":true"#), "{resp}");
+    let resp = exchange(&ping_with(MAX_DEPTH));
+    assert!(resp.contains(r#""code":"bad_json""#), "{resp}");
+    // And other clients never noticed.
+    ts.client().unwrap().ping().unwrap();
+    ts.shutdown().unwrap();
+}
+
 #[test]
 fn mid_response_disconnect_is_survivable() {
     watchdog(90);
