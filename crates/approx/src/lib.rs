@@ -60,7 +60,7 @@
 use std::collections::BinaryHeap;
 
 use topk_core::IncrementalDedup;
-use topk_predicates::SufficientPredicate;
+use topk_predicates::{collapse_partition_key, SufficientPredicate};
 use topk_records::{FieldId, TokenizedRecord};
 
 /// Records kept per shard sketch by default. Query-time samples are
@@ -451,10 +451,95 @@ pub fn merge_topk(mut groups: Vec<ApproxGroup>, k: usize) -> Vec<ApproxGroup> {
     groups
 }
 
+/// What [`approx_topk`] answers with.
+#[derive(Debug, Clone)]
+pub struct ApproxAnswer {
+    /// The top-k rows, escalated and estimated merged by [`merge_topk`].
+    pub top: Vec<ApproxGroup>,
+    /// Records actually sampled (`min(m(ε), n)`).
+    pub sample_size: usize,
+    /// Keys of the blocking partitions re-run exactly, ascending.
+    pub escalated_partitions: Vec<u64>,
+}
+
+/// The whole batch approximate query over an in-memory corpus: sketch
+/// every record, collapse the bottom-`m(ε)` sample, escalate the
+/// partitions contesting the K-boundary, and merge. `rep_rid` of each
+/// returned row indexes `toks`.
+pub fn approx_topk(
+    toks: &[TokenizedRecord],
+    field: FieldId,
+    s_pred: &dyn SufficientPredicate,
+    k: usize,
+    epsilon: f64,
+) -> ApproxAnswer {
+    let m = sample_size(epsilon);
+    let mut sketch = Sketch::new(DEFAULT_SEED, m);
+    let mut max_weight = 0.0f64;
+    for (rid, t) in toks.iter().enumerate() {
+        sketch.offer(rid as u64, collapse_partition_key(&t.field(field).text), t);
+        max_weight = max_weight.max(t.weight());
+    }
+    let pop = Population {
+        n: toks.len() as u64,
+        max_weight,
+    };
+    let sample = merge_sketches([&sketch], m);
+    let sample_size = sample.len();
+    let estimates = estimate_groups(&sample, pop, field, s_pred);
+    let (_tau, parts) = escalation_partitions(&estimates, k);
+
+    // Exact collapse over every record of every escalated partition
+    // (not just the sampled ones), in record order so ties break the
+    // same way as the exact pipeline's.
+    let mut cands: Vec<ApproxGroup> = Vec::new();
+    if !parts.is_empty() {
+        let mut inc = IncrementalDedup::new();
+        let mut rids = Vec::new();
+        for (rid, t) in toks.iter().enumerate() {
+            if parts.contains(&collapse_partition_key(&t.field(field).text)) {
+                inc.insert(t.clone(), s_pred);
+                rids.push(rid);
+            }
+        }
+        for g in inc.groups() {
+            let rep = rids[g.rep as usize];
+            cands.push(ApproxGroup {
+                estimate: g.weight,
+                lo: g.weight,
+                hi: g.weight,
+                size: g.members.len() as u32,
+                escalated: true,
+                rep_rid: rep as u64,
+                rep_text: toks[rep].field(field).text.clone(),
+            });
+        }
+    }
+    for e in estimates {
+        if !parts.contains(&e.partition) {
+            cands.push(ApproxGroup {
+                estimate: e.estimate,
+                lo: e.lo,
+                hi: e.hi,
+                size: e.sampled as u32,
+                escalated: false,
+                rep_rid: e.rep_rid,
+                rep_text: e.rep_text,
+            });
+        }
+    }
+    let mut escalated_partitions: Vec<u64> = parts.into_iter().collect();
+    escalated_partitions.sort_unstable();
+    ApproxAnswer {
+        top: merge_topk(cands, k),
+        sample_size,
+        escalated_partitions,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use topk_predicates::collapse_partition_key;
 
     fn rec(name: &str, w: f64) -> TokenizedRecord {
         TokenizedRecord::from_fields(&[name.to_string()], w)

@@ -7,10 +7,7 @@
 //! tier-1 test below, so `cargo test -q` fails whenever escalation
 //! stops making the approximate top-k exact on the smoke corpus.
 
-use topk_approx::{
-    escalation_partitions, estimate_groups, merge_sketches, merge_topk, sample_size, ApproxGroup,
-    Population, Sketch,
-};
+use topk_approx::ApproxGroup;
 use topk_core::{FinalGroup, IncrementalDedup};
 use topk_predicates::{collapse_partition_key, SufficientPredicate};
 use topk_records::{FieldId, TokenizedRecord};
@@ -29,68 +26,6 @@ pub fn exact_topk(
     let mut groups = inc.groups();
     groups.truncate(k);
     groups
-}
-
-/// The batch approximate query: sketch, sample collapse, escalate,
-/// merge. Returns the top-k plus the escalated-partition count.
-pub fn approx_topk(
-    toks: &[TokenizedRecord],
-    field: FieldId,
-    s_pred: &dyn SufficientPredicate,
-    k: usize,
-    eps: f64,
-) -> (Vec<ApproxGroup>, usize) {
-    let m = sample_size(eps);
-    let mut sketch = Sketch::new(topk_approx::DEFAULT_SEED, m);
-    let mut max_weight = 0.0f64;
-    for (rid, t) in toks.iter().enumerate() {
-        sketch.offer(rid as u64, collapse_partition_key(&t.field(field).text), t);
-        max_weight = max_weight.max(t.weight());
-    }
-    let pop = Population {
-        n: toks.len() as u64,
-        max_weight,
-    };
-    let sample = merge_sketches([&sketch], m);
-    let estimates = estimate_groups(&sample, pop, field, s_pred);
-    let (_tau, parts) = escalation_partitions(&estimates, k);
-    let mut cands: Vec<ApproxGroup> = Vec::new();
-    if !parts.is_empty() {
-        let mut inc = IncrementalDedup::new();
-        let mut rids = Vec::new();
-        for (rid, t) in toks.iter().enumerate() {
-            if parts.contains(&collapse_partition_key(&t.field(field).text)) {
-                inc.insert(t.clone(), s_pred);
-                rids.push(rid);
-            }
-        }
-        for g in inc.groups() {
-            let rep = rids[g.rep as usize];
-            cands.push(ApproxGroup {
-                estimate: g.weight,
-                lo: g.weight,
-                hi: g.weight,
-                size: g.members.len() as u32,
-                escalated: true,
-                rep_rid: rep as u64,
-                rep_text: toks[rep].field(field).text.clone(),
-            });
-        }
-    }
-    for e in estimates {
-        if !parts.contains(&e.partition) {
-            cands.push(ApproxGroup {
-                estimate: e.estimate,
-                lo: e.lo,
-                hi: e.hi,
-                size: e.sampled as u32,
-                escalated: false,
-                rep_rid: e.rep_rid,
-                rep_text: e.rep_text,
-            });
-        }
-    }
-    (merge_topk(cands, k), parts.len())
 }
 
 /// Rank-for-rank agreement with the exact answer. Escalated entries ran
@@ -155,8 +90,12 @@ mod tests {
         let s_pred = stack.levels[0].0.as_ref();
         let exact = exact_topk(&toks, s_pred, k);
         assert_eq!(exact.len(), k, "smoke corpus has at least {k} groups");
-        let (top, escalated) = approx_topk(&toks, field, s_pred, k, 0.1);
-        assert!(escalated > 0, "a contested K-boundary must escalate");
+        let ans = topk_approx::approx_topk(&toks, field, s_pred, k, 0.1);
+        assert!(
+            !ans.escalated_partitions.is_empty(),
+            "a contested K-boundary must escalate"
+        );
+        let top = ans.top;
         assert!(
             topk_matches(&exact, &top, &toks, field),
             "approximate top-{k} disagrees with exact on the smoke corpus"

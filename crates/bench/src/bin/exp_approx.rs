@@ -4,7 +4,7 @@
 //!
 //! ```sh
 //! cargo run -p topk-bench --release --bin exp_approx -- \
-//!     [n_records] [--k K] [--bench-out P] [--smoke]
+//!     [n_records] [--k K] [--smoke]
 //! ```
 //!
 //! Generates a heavily skewed student corpus (Zipf exponent 1.1, so the
@@ -17,24 +17,20 @@
 //! approximate top-k matches the exact one rank for rank, mean relative
 //! error of the surviving estimates, and the escalation count.
 //!
-//! `--smoke` runs a ≤2 s configuration, exits non-zero if the
-//! approximate top-k disagrees with the exact one, and appends a run
-//! record to `BENCH_approx.json` (override with `--bench-out`) for the
-//! per-PR perf trajectory.
+//! `--smoke` runs a ≤2 s configuration and exits non-zero if the
+//! approximate top-k disagrees with the exact one.
 
 use std::time::Instant;
 
-use topk_approx::sample_size;
-use topk_bench::approx_smoke::{approx_topk, exact_topk, mean_rel_err, topk_matches};
+use topk_approx::{approx_topk, sample_size};
+use topk_bench::approx_smoke::{exact_topk, mean_rel_err, topk_matches};
 use topk_bench::Table;
 use topk_records::tokenize_dataset;
-use topk_service::json::{obj, Json};
 
 fn main() {
     let mut smoke = false;
     let mut k = 10usize;
     let mut n_records = 100_000usize;
-    let mut bench_out = "BENCH_approx.json".to_string();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -45,7 +41,6 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .expect("--k needs a number")
             }
-            "--bench-out" => bench_out = args.next().expect("--bench-out needs a path"),
             other => n_records = other.parse().expect("n_records must be a number"),
         }
     }
@@ -90,52 +85,29 @@ fn main() {
         "topk match",
         "mean rel err",
     ]);
-    let mut smoke_row: Option<(f64, f64, usize, bool, f64)> = None;
+    let mut all_matched = true;
     for &eps in sweep {
         let t0 = Instant::now();
-        let (top, escalated) = approx_topk(&toks, field, s_pred, k, eps);
+        let ans = approx_topk(&toks, field, s_pred, k, eps);
         let approx_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let matched = topk_matches(&exact, &top, &toks, field);
-        let err = mean_rel_err(&exact, &top);
+        let matched = topk_matches(&exact, &ans.top, &toks, field);
+        let err = mean_rel_err(&exact, &ans.top);
         table.row(vec![
             format!("{eps}"),
             sample_size(eps).to_string(),
             format!("{exact_ms:.0}"),
             format!("{approx_ms:.0}"),
             format!("{:.1}x", exact_ms / approx_ms),
-            escalated.to_string(),
+            ans.escalated_partitions.len().to_string(),
             matched.to_string(),
             format!("{err:.4}"),
         ]);
-        smoke_row = Some((eps, approx_ms, escalated, matched, err));
+        all_matched &= matched;
     }
     println!("\n{table}");
 
     if smoke {
-        let (eps, approx_ms, escalated, matched, err) =
-            smoke_row.expect("smoke sweep ran one epsilon");
-        let metrics = obj(vec![
-            ("records", Json::Num(toks.len() as f64)),
-            ("k", Json::Num(k as f64)),
-            ("epsilon", Json::Num(eps)),
-            ("exact_ms", Json::Num((exact_ms * 100.0).round() / 100.0)),
-            ("approx_ms", Json::Num((approx_ms * 100.0).round() / 100.0)),
-            (
-                "speedup",
-                Json::Num(((exact_ms / approx_ms) * 100.0).round() / 100.0),
-            ),
-            ("escalated_partitions", Json::Num(escalated as f64)),
-            ("topk_match", Json::Bool(matched)),
-            ("mean_rel_err", Json::Num((err * 1e4).round() / 1e4)),
-        ]);
-        match topk_bench::bench_log::append_run(&bench_out, "approx", "smoke", metrics) {
-            Ok(n) => println!("appended run {n} to {bench_out}"),
-            Err(e) => {
-                topk_obs::error!("cannot write {bench_out}: {e}");
-                std::process::exit(1);
-            }
-        }
-        if !matched {
+        if !all_matched {
             topk_obs::error!("smoke FAILED: approximate top-{k} disagrees with exact");
             std::process::exit(1);
         }

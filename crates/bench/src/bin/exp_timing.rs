@@ -4,7 +4,7 @@
 //!
 //! ```sh
 //! cargo run -p topk-bench --release --bin exp_timing -- [subset_size] [--with-none] \
-//!     [--threads 1,2,4,8] [--trace-out trace.json] [--smoke] [--bench-out P]
+//!     [--threads 1,2,4,8] [--trace-out trace.json] [--smoke]
 //! ```
 //!
 //! All four configurations share the same final step (score candidate
@@ -27,10 +27,7 @@
 //! validation pass (`topk_bench::timing_smoke`), exiting non-zero if
 //! the trace is empty, malformed, or missing a pipeline stage —
 //! `--trace-out` then names the validated file (default
-//! `/tmp/topk_timing_smoke.json`). The smoke run also times a few
-//! repeated untraced pipeline runs and writes the machine-readable
-//! perf-trajectory file `BENCH_timing.json` (throughput plus p50/p99
-//! wall-clock; override the path with `--bench-out`).
+//! `/tmp/topk_timing_smoke.json`).
 
 use std::time::Instant;
 
@@ -188,13 +185,7 @@ fn main() {
                 .expect("--trace-out needs a path")
                 .into()
         });
-    let bench_out: String = args
-        .iter()
-        .position(|a| a == "--bench-out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_timing.json".to_string());
-    let flags_with_value = ["--threads", "--trace-out", "--bench-out"];
+    let flags_with_value = ["--threads", "--trace-out"];
     let subset: usize = args
         .iter()
         .enumerate()
@@ -212,33 +203,6 @@ fn main() {
             }
             Err(e) => {
                 topk_obs::error!("smoke FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
-        let st = topk_bench::timing_smoke::measure_pipeline(5);
-        let metrics = topk_service::json::obj(vec![
-            ("records", topk_service::Json::Num(st.records as f64)),
-            ("runs", topk_service::Json::Num(st.runs as f64)),
-            (
-                "pipeline_p50_us",
-                topk_service::Json::Num(st.p50_micros as f64),
-            ),
-            (
-                "pipeline_p99_us",
-                topk_service::Json::Num(st.p99_micros as f64),
-            ),
-            (
-                "records_per_sec",
-                topk_service::Json::Num(st.records_per_sec.round()),
-            ),
-        ]);
-        match topk_bench::bench_log::append_run(&bench_out, "timing", "smoke", metrics) {
-            Ok(n) => println!(
-                "appended run {n} to {bench_out} ({:.0} rec/s, pipeline p50/p99 {}/{} µs over {} runs)",
-                st.records_per_sec, st.p50_micros, st.p99_micros, st.runs
-            ),
-            Err(e) => {
-                topk_obs::error!("cannot write {bench_out}: {e}");
                 std::process::exit(1);
             }
         }

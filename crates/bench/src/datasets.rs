@@ -53,18 +53,6 @@ pub fn default_addresses(full: bool) -> Dataset {
     generate_addresses(&cfg)
 }
 
-/// Students dataset at an explicit record count (~1 entity per 4
-/// records, the generator's default ratio) — used by the `exp_serve`
-/// load generator, which scales by ingested volume rather than by the
-/// paper's fixed dataset sizes.
-pub fn students_sized(n_records: usize) -> Dataset {
-    generate_students(&StudentConfig {
-        n_students: (n_records / 4).max(1),
-        n_records,
-        ..Default::default()
-    })
-}
-
 /// The four Table-1 accuracy datasets.
 pub fn accuracy_suite(seed: u64) -> Vec<(SmallDatasetKind, Dataset)> {
     SmallDatasetKind::all()

@@ -2,7 +2,7 @@
 //!
 //! Raw-socket misbehavers (slow-loris writers, truncated frames,
 //! garbage bytes, mid-response disconnects, connection floods) plus the
-//! packaged chaos scenarios `exp_serve --chaos` runs: shed, retry,
+//! packaged chaos scenarios `exp_chaos` runs: shed, retry,
 //! journal replay after a simulated `kill -9`, overload latency,
 //! replication failover (lost primary -> promote -> divergence check),
 //! client endpoint failover, a memory-pressure ramp against a byte
@@ -238,8 +238,11 @@ pub fn send_truncated(addr: &str, bytes: &[u8]) -> Result<(), String> {
 /// for garbage-byte and oversized-request probes.
 pub fn send_line_raw(addr: &str, bytes: &[u8]) -> Result<String, String> {
     let mut s = raw_connect(addr)?;
-    s.write_all(bytes).map_err(|e| format!("write: {e}"))?;
-    s.write_all(b"\n").map_err(|e| format!("write: {e}"))?;
+    // One write: a server that refuses the connection answers and
+    // closes without reading, so a second write could meet the reset
+    // the first one provoked and fail before the answer is read.
+    let line = [bytes, b"\n"].concat();
+    s.write_all(&line).map_err(|e| format!("write: {e}"))?;
     read_line_raw(&mut s)
 }
 
@@ -323,7 +326,7 @@ pub fn flood(addr: &str, hogs: usize, extras: usize) -> Result<FloodOutcome, Str
     Ok(outcome)
 }
 
-/// One chaos scenario's outcome (printed by `exp_serve --chaos`).
+/// One chaos scenario's outcome (printed by `exp_chaos`).
 #[derive(Debug)]
 pub struct ChaosOutcome {
     /// Scenario name.
@@ -939,7 +942,7 @@ pub fn chaos_deadline_storm() -> Result<ChaosOutcome, String> {
     })
 }
 
-/// Run all chaos scenarios in sequence (the `exp_serve --chaos` pass).
+/// Run all chaos scenarios in sequence (the `exp_chaos` pass).
 pub fn run_chaos() -> Result<Vec<ChaosOutcome>, String> {
     Ok(vec![
         chaos_shed()?,

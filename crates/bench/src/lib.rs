@@ -1,4 +1,4 @@
-//! Shared helpers for the experiment binaries and Criterion benches
+//! Shared helpers for the experiment binaries
 //! (paper §6 — every table and figure has a regenerating binary under
 //! `src/bin/`).
 //!
@@ -12,12 +12,9 @@
 //! * [`table`] — aligned-column text tables for the experiment output,
 //!   in the layout of the paper's Figures 2-4.
 //!
-//! * [`serve_load`] — load generator for the resident `topk-service`
-//!   server (concurrent clients over loopback TCP, throughput + latency
-//!   percentiles, cache-hit accounting).
 //! * [`faults`] — fault injection for the server (slow-loris, truncated
 //!   frames, garbage bytes, connection floods, simulated `kill -9` with
-//!   journal recovery); drives `exp_serve --chaos` and
+//!   journal recovery); drives `exp_chaos` and
 //!   `tests/serve_faults.rs` (fault matrix: docs/ROBUSTNESS.md).
 //! * [`timing_smoke`] — traced Full-mode smoke run validating the
 //!   Chrome trace output end to end (used by `exp_timing --smoke
@@ -25,23 +22,20 @@
 //! * [`approx_smoke`] — exact-vs-approximate top-k differential (the
 //!   sampled estimator of `crates/approx`); drives `exp_approx` and its
 //!   tier-1 smoke test.
-//! * [`bench_log`] — the append-only `BENCH_*.json` perf-trajectory
-//!   files the `--smoke` flags write, one run record per commit.
 //!
 //! Binaries: `exp_pruning` (Figures 2-4), `exp_timing` (Figure 6 and
 //! the thread-scaling table — see `docs/PARALLELISM.md`), `exp_accuracy`
 //! (Table 1, Figure 7), `exp_blocking`, `exp_scaling`, `exp_quality`,
-//! `exp_serve`, `exp_approx` (extensions). See `EXPERIMENTS.md` for
-//! measured-vs-paper numbers.
+//! `exp_approx`, `exp_chaos` (extensions). See `EXPERIMENTS.md` for
+//! measured-vs-paper numbers; speed claims come from `benchmark/`
+//! (`bash benchmark/run.sh`), not from this crate.
 
 #![warn(missing_docs)]
 
 pub mod approx_smoke;
-pub mod bench_log;
 pub mod datasets;
 pub mod faults;
 pub mod scorers;
-pub mod serve_load;
 pub mod table;
 pub mod timing_smoke;
 

@@ -37,53 +37,6 @@ const REQUIRED_FIELDS: [&str; 4] = [
     "pairs_compared",
 ];
 
-/// Wall-clock summary of repeated small pipeline runs, for the per-PR
-/// perf-trajectory file (`BENCH_timing.json`).
-pub struct SmokeStats {
-    /// Records per pipeline run.
-    pub records: usize,
-    /// Number of timed runs behind the percentiles.
-    pub runs: usize,
-    /// Median end-to-end pipeline wall-clock, microseconds.
-    pub p50_micros: u64,
-    /// 99th-percentile (max, at smoke run counts) wall-clock, microseconds.
-    pub p99_micros: u64,
-    /// Aggregate throughput over all runs, records per second.
-    pub records_per_sec: f64,
-}
-
-/// Time `runs` repeated Full-mode count queries (tracing off) on the
-/// same 400-record citation subset [`run_timing_smoke`] validates, and
-/// summarize the wall-clock distribution.
-pub fn measure_pipeline(runs: usize) -> SmokeStats {
-    let data = crate::default_citations(false).head(400);
-    let toks = tokenize_dataset(&data);
-    let stack = citation_predicates(data.schema(), &toks);
-    let scorer = crate::train_scorer(&data, &toks, 11);
-    let mut lat = Vec::with_capacity(runs);
-    let t0 = std::time::Instant::now();
-    for _ in 0..runs.max(1) {
-        let t = std::time::Instant::now();
-        let mut q = TopKQuery::new(5, 2);
-        q.parallelism = Parallelism::sequential();
-        let res = q.run(&toks, &stack, &scorer);
-        assert!(
-            !res.answers.is_empty(),
-            "timed smoke query returned no answers"
-        );
-        lat.push(t.elapsed().as_micros() as u64);
-    }
-    let total = t0.elapsed().as_secs_f64();
-    lat.sort_unstable();
-    SmokeStats {
-        records: data.len(),
-        runs: lat.len(),
-        p50_micros: lat[lat.len() / 2],
-        p99_micros: lat[(lat.len() * 99) / 100],
-        records_per_sec: (data.len() * lat.len()) as f64 / total.max(1e-9),
-    }
-}
-
 /// Run a small traced Full-mode query, write the Chrome trace to
 /// `trace_out`, then re-read and validate it. Errors describe exactly
 /// what is missing or malformed.

@@ -438,72 +438,17 @@ fn run_count_approx(
     eps: f64,
     load_elapsed: std::time::Duration,
 ) {
-    use topk_approx::{merge_sketches, sample_size, ApproxGroup, Population, Sketch};
-    use topk_core::IncrementalDedup;
-    use topk_predicates::collapse_partition_key;
-
     let t_query = std::time::Instant::now();
-    let m = sample_size(eps);
-    let mut sketch = Sketch::new(topk_approx::DEFAULT_SEED, m);
-    let mut max_weight = 0.0f64;
-    for (rid, t) in toks.iter().enumerate() {
-        sketch.offer(rid as u64, collapse_partition_key(&t.field(field).text), t);
-        max_weight = max_weight.max(t.weight());
-    }
     let s_pred = stack.levels[0].0.as_ref();
-    let pop = Population {
-        n: toks.len() as u64,
-        max_weight,
-    };
-    let sample = merge_sketches([&sketch], m);
-    let used = sample.len();
-    let estimates = topk_approx::estimate_groups(&sample, pop, field, s_pred);
-    let (_tau, parts) = topk_approx::escalation_partitions(&estimates, opts.k);
-
-    // Exact collapse over every record of every escalated partition
-    // (not just the sampled ones), in record order so ties break the
-    // same way as the exact pipeline's.
-    let mut cands: Vec<ApproxGroup> = Vec::new();
-    if !parts.is_empty() {
-        let mut inc = IncrementalDedup::new();
-        let mut rids = Vec::new();
-        for (rid, t) in toks.iter().enumerate() {
-            if parts.contains(&collapse_partition_key(&t.field(field).text)) {
-                inc.insert(t.clone(), s_pred);
-                rids.push(rid);
-            }
-        }
-        for g in inc.groups() {
-            let rep = rids[g.rep as usize];
-            cands.push(ApproxGroup {
-                estimate: g.weight,
-                lo: g.weight,
-                hi: g.weight,
-                size: g.members.len() as u32,
-                escalated: true,
-                rep_rid: rep as u64,
-                rep_text: toks[rep].field(field).text.clone(),
-            });
-        }
-    }
-    for e in estimates {
-        if !parts.contains(&e.partition) {
-            cands.push(ApproxGroup {
-                estimate: e.estimate,
-                lo: e.lo,
-                hi: e.hi,
-                size: e.sampled as u32,
-                escalated: false,
-                rep_rid: e.rep_rid,
-                rep_text: e.rep_text,
-            });
-        }
-    }
-    let top = topk_approx::merge_topk(cands, opts.k);
+    let topk_approx::ApproxAnswer {
+        top,
+        sample_size: used,
+        escalated_partitions,
+    } = topk_approx::approx_topk(toks, field, s_pred, opts.k, eps);
     println!(
         "# approx answer (epsilon {eps}, sample {used}/{}, escalated {} partitions)",
         toks.len(),
-        parts.len()
+        escalated_partitions.len()
     );
     for (rank, g) in top.iter().enumerate() {
         println!(
@@ -524,14 +469,12 @@ fn run_count_approx(
         p.stage("load", load_elapsed);
         p.stage("query", query_elapsed);
         p.groups_returned = top.len();
-        let mut escalated: Vec<u64> = parts.iter().copied().collect();
-        escalated.sort_unstable();
         p.approx = Some(topk_service::ApproxProfile {
             epsilon: eps,
-            sample_requested: m,
+            sample_requested: topk_approx::sample_size(eps),
             sample_size: used,
             population: toks.len() as u64,
-            escalated_partitions: escalated,
+            escalated_partitions,
             // Escalated partitions were collapsed exactly; everything
             // else carries its interval, so the answer as printed is
             // certified iff nothing stayed approximate.

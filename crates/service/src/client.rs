@@ -2,7 +2,7 @@
 //!
 //! Wraps a `TcpStream` and exposes one method per command; every method
 //! sends a single request line and blocks for the single response line.
-//! Used by `topk client`, the `exp_serve` load generator, and the
+//! Used by `topk client`, the fault-injection scenarios, and the
 //! loopback integration test — all clients in this repo speak through
 //! this type so the wire format lives in exactly one place.
 //!
@@ -156,6 +156,8 @@ pub struct Client {
     config: ClientConfig,
     conn: Option<Conn>,
     last_trace: Option<String>,
+    /// `topk_client_query_latency_micros` in the global registry.
+    query_latency: std::sync::Arc<topk_obs::LatencyHistogram>,
 }
 
 impl Client {
@@ -182,7 +184,7 @@ impl Client {
         let global = topk_obs::Registry::global();
         global.counter("topk_client_retries_total");
         global.counter("topk_client_failovers_total");
-        global.histogram("topk_client_query_latency_micros");
+        let query_latency = global.histogram("topk_client_query_latency_micros");
         let mut last_err = String::new();
         for (i, addr) in endpoints.iter().enumerate() {
             match open(addr, &config) {
@@ -193,6 +195,7 @@ impl Client {
                         config,
                         conn: Some(conn),
                         last_trace: None,
+                        query_latency,
                     })
                 }
                 Err(e) => last_err = e,
@@ -474,7 +477,9 @@ impl Client {
     /// TopK/TopR query with every wire option: `rank` selects `topr`,
     /// `approx` sets the epsilon member, `explain` asks the server to
     /// attach a [`QueryProfile`](crate::QueryProfile) under `"profile"`
-    /// (idempotent: retries).
+    /// (idempotent: retries). The client-observed latency, retries
+    /// included, is recorded into the process-global
+    /// `topk_client_query_latency_micros` histogram.
     pub fn query(
         &mut self,
         rank: bool,
@@ -492,7 +497,10 @@ impl Client {
         if explain {
             members.push(("explain", Json::Bool(true)));
         }
-        self.request_idempotent(&obj(members).to_string())
+        let t0 = Instant::now();
+        let res = self.request_idempotent(&obj(members).to_string());
+        self.query_latency.record(t0.elapsed());
+        res
     }
 
     /// TopK count query (idempotent: retries); returns the full
@@ -505,20 +513,6 @@ impl Client {
     /// response object.
     pub fn topr(&mut self, k: usize) -> Result<Json, String> {
         self.query(true, k, None, false)
-    }
-
-    /// Approximate TopK count query with relative-error target
-    /// `epsilon` (idempotent: retries); returns the full response
-    /// object with `estimate`/`lo`/`hi` per group.
-    pub fn topk_approx(&mut self, k: usize, epsilon: f64) -> Result<Json, String> {
-        self.query(false, k, Some(epsilon), false)
-    }
-
-    /// Approximate TopR rank query with relative-error target
-    /// `epsilon` (idempotent: retries); returns the full response
-    /// object.
-    pub fn topr_approx(&mut self, k: usize, epsilon: f64) -> Result<Json, String> {
-        self.query(true, k, Some(epsilon), false)
     }
 
     /// Engine + metrics counters (idempotent: retries).
@@ -838,6 +832,61 @@ mod tests {
         for w in windows {
             assert!(w.get("total").and_then(Json::as_usize).unwrap() >= 1, "{h}");
         }
+        // SLO window accuracy: a few more query-class requests, all
+        // well inside the 1-minute window, which must then account for
+        // exactly the queries this connection issued — the explained
+        // one above plus these — with no errors.
+        let client_samples = || {
+            topk_obs::Registry::global()
+                .histogram("topk_client_query_latency_micros")
+                .count()
+        };
+        let samples_before = client_samples();
+        for i in 0..6 {
+            c.query(i % 2 == 1, 1 + i / 2, None, false).unwrap();
+        }
+        let h = c.health().unwrap();
+        let window_1m = h
+            .get("slo")
+            .and_then(|s| s.get("windows"))
+            .and_then(Json::as_arr)
+            .and_then(|w| {
+                w.iter()
+                    .find(|e| e.get("window").and_then(Json::as_str) == Some("1m"))
+            })
+            .expect("health carries a 1m SLO window");
+        let window_u64 = |name: &str| window_1m.get(name).and_then(Json::as_usize);
+        assert_eq!(window_u64("total"), Some(7), "{h}");
+        assert_eq!(window_u64("errors"), Some(0), "{h}");
+        assert!(window_u64("p99_micros").unwrap() >= 1, "{h}");
+        // Server-side percentiles come back through `stats` (histogram
+        // answers are power-of-two upper bounds ≥ 2), ordered.
+        let stats = c.stats().unwrap();
+        let server_latency = |p: &str| {
+            stats
+                .get("metrics")
+                .and_then(|m| m.get("query_latency"))
+                .and_then(|h| h.get(p))
+                .and_then(Json::as_usize)
+                .unwrap_or_else(|| panic!("stats missing metrics.query_latency.{p}: {stats}"))
+        };
+        assert!(server_latency("p50_us") >= 2, "{stats}");
+        assert!(
+            server_latency("p99_us") >= server_latency("p50_us"),
+            "{stats}"
+        );
+        // Client samples land in the process-global registry (shared
+        // with the other tests of this binary, hence the lower bound).
+        assert!(client_samples() >= samples_before + 6);
+        let text = topk_obs::Registry::global().prometheus_text();
+        assert!(
+            text.contains("# TYPE topk_client_query_latency_micros histogram"),
+            "{text}"
+        );
+        assert!(
+            text.contains("topk_client_query_latency_micros_count"),
+            "{text}"
+        );
         c.shutdown().unwrap();
         handle.join().unwrap().unwrap();
     }

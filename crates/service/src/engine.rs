@@ -984,50 +984,10 @@ impl Engine {
         self.query_with(false, k, None, false, None)
     }
 
-    /// [`Self::query_topk`] with a [`QueryProfile`] appended as the
-    /// body's `profile` member (the `"explain":true` protocol path).
-    pub fn query_topk_explained(&self, k: usize) -> Result<Json, String> {
-        self.query_with(false, k, None, true, None)
-    }
-
     /// TopR rank-style query (§7.1): group *order* with upper bounds and
     /// a certification flag — the cheap way to keep a leaderboard fresh.
     pub fn query_topr(&self, k: usize) -> Result<Json, String> {
         self.query_with(true, k, None, false, None)
-    }
-
-    /// [`Self::query_topr`] with a `profile` member.
-    pub fn query_topr_explained(&self, k: usize) -> Result<Json, String> {
-        self.query_with(true, k, None, true, None)
-    }
-
-    /// Approximate TopK (`docs/APPROX.md`): estimate group weights from
-    /// the merged per-shard sample sketches, escalate every blocking
-    /// partition whose confidence interval overlaps the K-boundary to
-    /// the exact collapse, and merge. Each returned group carries
-    /// `(estimate, lo, hi, escalated)`.
-    pub fn query_topk_approx(&self, k: usize, epsilon: f64) -> Result<Json, String> {
-        self.query_with(false, k, Some(epsilon), false, None)
-    }
-
-    /// [`Self::query_topk_approx`] with a `profile` member (including
-    /// the sampled tier's escalated-partition list).
-    pub fn query_topk_approx_explained(&self, k: usize, epsilon: f64) -> Result<Json, String> {
-        self.query_with(false, k, Some(epsilon), true, None)
-    }
-
-    /// Approximate TopR: the same sampled estimator answering in the
-    /// rank-query shape (`entries` + `certified`). The deeper rank
-    /// refinement applies only to exact mode, so `certified` is true
-    /// exactly when every returned entry is exact (escalated or fully
-    /// sampled).
-    pub fn query_topr_approx(&self, k: usize, epsilon: f64) -> Result<Json, String> {
-        self.query_with(true, k, Some(epsilon), false, None)
-    }
-
-    /// [`Self::query_topr_approx`] with a `profile` member.
-    pub fn query_topr_approx_explained(&self, k: usize, epsilon: f64) -> Result<Json, String> {
-        self.query_with(true, k, Some(epsilon), true, None)
     }
 
     /// Run the brownout state machine and cost-based admission for one
@@ -2349,16 +2309,26 @@ mod tests {
         }
         for k in [1, 2, 3, 50] {
             for eps in [0.05, 0.5, 0.9] {
-                let want = engines[0].query_topk_approx(k, eps).unwrap().to_string();
-                let want_r = engines[0].query_topr_approx(k, eps).unwrap().to_string();
+                let want = engines[0]
+                    .query_with(false, k, Some(eps), false, None)
+                    .unwrap()
+                    .to_string();
+                let want_r = engines[0]
+                    .query_with(true, k, Some(eps), false, None)
+                    .unwrap()
+                    .to_string();
                 for e in &engines[1..] {
                     assert_eq!(
-                        e.query_topk_approx(k, eps).unwrap().to_string(),
+                        e.query_with(false, k, Some(eps), false, None)
+                            .unwrap()
+                            .to_string(),
                         want,
                         "topk k={k} eps={eps}"
                     );
                     assert_eq!(
-                        e.query_topr_approx(k, eps).unwrap().to_string(),
+                        e.query_with(true, k, Some(eps), false, None)
+                            .unwrap()
+                            .to_string(),
                         want_r,
                         "topr k={k} eps={eps}"
                     );
@@ -2383,7 +2353,7 @@ mod tests {
         rows.push(row("alan turing"));
         e.ingest(rows).unwrap();
         let exact = e.query_topk(2).unwrap();
-        let approx = e.query_topk_approx(2, 0.05).unwrap();
+        let approx = e.query_with(false, 2, Some(0.05), false, None).unwrap();
         let eg = exact.get("groups").unwrap().as_arr().unwrap();
         let ag = approx.get("groups").unwrap().as_arr().unwrap();
         assert_eq!(eg.len(), ag.len());
@@ -2409,14 +2379,20 @@ mod tests {
     fn approx_queries_cache_under_their_own_keys() {
         let e = engine();
         e.ingest(vec![row("a b"), row("a b"), row("c d")]).unwrap();
-        let first = e.query_topk_approx(2, 0.1).unwrap().to_string();
-        let second = e.query_topk_approx(2, 0.1).unwrap().to_string();
+        let first = e
+            .query_with(false, 2, Some(0.1), false, None)
+            .unwrap()
+            .to_string();
+        let second = e
+            .query_with(false, 2, Some(0.1), false, None)
+            .unwrap()
+            .to_string();
         assert_eq!(first, second);
         assert_eq!(Metrics::get(&e.metrics.cache_hits), 1);
         assert_eq!(Metrics::get(&e.metrics.cache_misses), 1);
         // Exact and approx never share a cache entry, nor do two epsilons.
         e.query_topk(2).unwrap();
-        e.query_topk_approx(2, 0.2).unwrap();
+        e.query_with(false, 2, Some(0.2), false, None).unwrap();
         assert_eq!(Metrics::get(&e.metrics.cache_misses), 3);
         assert_eq!(Metrics::get(&e.metrics.approx_queries), 3);
     }
@@ -2424,15 +2400,15 @@ mod tests {
     #[test]
     fn approx_on_empty_engine_and_bad_epsilon() {
         let e = engine();
-        let body = e.query_topk_approx(3, 0.1).unwrap();
+        let body = e.query_with(false, 3, Some(0.1), false, None).unwrap();
         assert_eq!(
             body.get("groups").unwrap().as_arr().map(<[_]>::len),
             Some(0)
         );
         assert_eq!(body.get("population").unwrap().as_usize(), Some(0));
-        assert!(e.query_topk_approx(3, 0.0).is_err());
-        assert!(e.query_topk_approx(3, 1.0).is_err());
-        assert!(e.query_topk_approx(3, f64::NAN).is_err());
+        assert!(e.query_with(false, 3, Some(0.0), false, None).is_err());
+        assert!(e.query_with(false, 3, Some(1.0), false, None).is_err());
+        assert!(e.query_with(false, 3, Some(f64::NAN), false, None).is_err());
     }
 
     #[test]
@@ -2555,7 +2531,7 @@ mod tests {
         assert_eq!(groups[0].get("size").unwrap().as_usize(), Some(3));
         assert_eq!(groups[0].get("rep").unwrap().as_str(), Some("ada lovelace"));
         // The escalation gather of an approximate miss reads it too.
-        e.query_topk_approx(2, 0.5).unwrap();
+        e.query_with(false, 2, Some(0.5), false, None).unwrap();
         assert_eq!(Metrics::get(&e.metrics.cache_misses), 3);
         let mut core = e.write_core();
         for m in core.shards.iter_mut() {
@@ -2680,7 +2656,7 @@ mod tests {
             .unwrap()
             .to_string();
         let explicit = e
-            .query_topk_approx(3, crate::overload::EPSILON_LIGHT)
+            .query_with(false, 3, Some(crate::overload::EPSILON_LIGHT), false, None)
             .unwrap()
             .to_string();
         assert_eq!(degraded, explicit);

@@ -51,34 +51,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
+use crate::codec::{fnv1a, put_len, put_row, put_u64, Reader};
+
 const MAGIC: &[u8; 4] = b"TKJL";
 /// Current journal format version.
 pub const VERSION: u32 = 2;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash = (hash ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// `u32::from_le_bytes` over the first 4 bytes of a checked slice.
-fn le_u32(bytes: &[u8]) -> u32 {
-    let mut a = [0u8; 4];
-    a.copy_from_slice(&bytes[..4]);
-    u32::from_le_bytes(a)
-}
-
-/// `u64::from_le_bytes` over the first 8 bytes of a checked slice.
-fn le_u64(bytes: &[u8]) -> u64 {
-    let mut a = [0u8; 8];
-    a.copy_from_slice(&bytes[..8]);
-    u64::from_le_bytes(a)
-}
 
 /// One journaled row: global record id, raw field texts, weight.
 pub type Row = (u64, Vec<String>, f64);
@@ -117,96 +94,54 @@ pub struct Journal {
     fail_appends: AtomicBool,
 }
 
-fn put_str(buf: &mut Vec<u8>, s: &str) -> Result<(), String> {
-    let len = u32::try_from(s.len()).map_err(|_| "journal string too long".to_string())?;
-    buf.extend_from_slice(&len.to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
-    Ok(())
-}
-
 /// Serialize one entry's payload. Also the payload format of a
 /// replication wire frame (`replication` module), so a replica can
 /// journal what it receives byte-for-byte.
 pub(crate) fn encode_entry(rows: &[Row]) -> Result<Vec<u8>, String> {
     let mut buf = Vec::with_capacity(72 * rows.len().max(1));
-    let n = u32::try_from(rows.len()).map_err(|_| "journal entry too large".to_string())?;
-    buf.extend_from_slice(&n.to_le_bytes());
+    put_len(&mut buf, rows.len())?;
     for (rid, fields, weight) in rows {
-        buf.extend_from_slice(&rid.to_le_bytes());
-        let arity = u32::try_from(fields.len()).map_err(|_| "journal row too wide".to_string())?;
-        buf.extend_from_slice(&arity.to_le_bytes());
-        for f in fields {
-            put_str(&mut buf, f)?;
-        }
-        buf.extend_from_slice(&weight.to_bits().to_le_bytes());
+        put_u64(&mut buf, *rid);
+        put_row(&mut buf, fields, *weight)?;
     }
     Ok(buf)
 }
 
-struct Cur<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.b.len())
-            .ok_or("journal entry payload truncated")?;
-        let s = &self.b[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(le_u32(self.take(4)?))
-    }
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(le_u64(self.take(8)?))
-    }
-    fn str(&mut self) -> Result<String, String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "journal string is not UTF-8".to_string())
-    }
+/// Append one framed entry — `u32` length, payload, FNV-1a of the
+/// payload — to `out`.
+fn put_framed(out: &mut Vec<u8>, payload: &[u8]) -> Result<(), String> {
+    put_len(out, payload.len())?;
+    out.extend_from_slice(payload);
+    put_u64(out, fnv1a(payload));
+    Ok(())
 }
 
 /// Parse one entry's payload (the inverse of [`encode_entry`]).
 pub(crate) fn decode_entry(payload: &[u8]) -> Result<Entry, String> {
-    let mut cur = Cur { b: payload, pos: 0 };
-    let n_rows = cur.u32()? as usize;
-    let mut rows = Vec::with_capacity(n_rows.min(1 << 20));
-    for _ in 0..n_rows {
-        let rid = cur.u64()?;
-        let arity = cur.u32()? as usize;
-        let mut fields = Vec::with_capacity(arity.min(1024));
-        for _ in 0..arity {
-            fields.push(cur.str()?);
-        }
-        rows.push((rid, fields, f64::from_bits(cur.u64()?)));
-    }
-    if cur.pos != payload.len() {
-        return Err("journal entry has trailing bytes".into());
-    }
-    Ok(rows)
+    decode_rows(payload, |r| {
+        let rid = r.u64()?;
+        let (fields, weight) = r.row()?;
+        Ok((rid, fields, weight))
+    })
 }
 
 /// Parse one version-1 payload: rows without rids (upgrade path).
 fn decode_entry_v1(payload: &[u8]) -> Result<Vec<(Vec<String>, f64)>, String> {
-    let mut cur = Cur { b: payload, pos: 0 };
-    let n_rows = cur.u32()? as usize;
+    decode_rows(payload, |r| r.row())
+}
+
+/// A `u32` row count, then that many rows, then nothing.
+fn decode_rows<T>(
+    payload: &[u8],
+    row: impl Fn(&mut Reader) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let mut r = Reader::new(payload);
+    let n_rows = r.u32()? as usize;
     let mut rows = Vec::with_capacity(n_rows.min(1 << 20));
     for _ in 0..n_rows {
-        let arity = cur.u32()? as usize;
-        let mut fields = Vec::with_capacity(arity.min(1024));
-        for _ in 0..arity {
-            fields.push(cur.str()?);
-        }
-        rows.push((fields, f64::from_bits(cur.u64()?)));
+        rows.push(row(&mut r)?);
     }
-    if cur.pos != payload.len() {
-        return Err("journal entry has trailing bytes".into());
-    }
+    r.finish()?;
     Ok(rows)
 }
 
@@ -215,32 +150,21 @@ fn decode_entry_v1(payload: &[u8]) -> Result<Vec<(Vec<String>, f64)>, String> {
 /// returning the decoded entries and the end offset of the last good one.
 fn scan_entries<T>(bytes: &[u8], decode: impl Fn(&[u8]) -> Result<T, String>) -> (Vec<T>, u64) {
     let mut entries = Vec::new();
+    let mut r = Reader::new(bytes.get(8..).unwrap_or(&[]));
     let mut good = 8u64;
-    let mut pos = 8usize;
-    loop {
-        // A torn or corrupt entry ends replay; everything before it is
-        // intact (checksummed), everything after was never acknowledged.
-        if pos + 4 > bytes.len() {
-            break;
+    // A torn or corrupt entry ends replay; everything before it is
+    // intact (checksummed), everything after was never acknowledged.
+    let next = |r: &mut Reader| -> Option<T> {
+        let len = r.u32().ok()? as usize;
+        let payload = r.take(len).ok()?;
+        if fnv1a(payload) != r.u64().ok()? {
+            return None;
         }
-        let len = le_u32(&bytes[pos..pos + 4]) as usize;
-        let Some(end) = pos.checked_add(4).and_then(|p| p.checked_add(len)) else {
-            break;
-        };
-        if end + 8 > bytes.len() {
-            break;
-        }
-        let payload = &bytes[pos + 4..end];
-        let stored = le_u64(&bytes[end..end + 8]);
-        if fnv1a(payload) != stored {
-            break;
-        }
-        match decode(payload) {
-            Ok(rows) => entries.push(rows),
-            Err(_) => break,
-        }
-        pos = end + 8;
-        good = pos as u64;
+        decode(payload).ok()
+    };
+    while let Some(entry) = next(&mut r) {
+        entries.push(entry);
+        good = 8 + r.pos() as u64;
     }
     (entries, good)
 }
@@ -283,7 +207,7 @@ impl Journal {
                     path.display()
                 ));
             }
-            let version = le_u32(&bytes[4..8]);
+            let version = Reader::new(&bytes[4..]).u32()?;
             match version {
                 VERSION => {
                     let (parsed, g) = scan_entries(&bytes, decode_entry);
@@ -311,10 +235,7 @@ impl Journal {
                     out.extend_from_slice(MAGIC);
                     out.extend_from_slice(&VERSION.to_le_bytes());
                     for e in &entries {
-                        let payload = encode_entry(e)?;
-                        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                        out.extend_from_slice(&payload);
-                        out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+                        put_framed(&mut out, &encode_entry(e)?)?;
                     }
                     let tmp = path.with_extension("upgrade.tmp");
                     {
@@ -383,12 +304,8 @@ impl Journal {
             return Err("journal append: injected failure".to_string());
         }
         let payload = encode_entry(rows)?;
-        let len =
-            u32::try_from(payload.len()).map_err(|_| "journal entry too large".to_string())?;
         let mut frame = Vec::with_capacity(payload.len() + 12);
-        frame.extend_from_slice(&len.to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        put_framed(&mut frame, &payload)?;
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         inner
             .file

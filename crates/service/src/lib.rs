@@ -35,6 +35,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod client;
+mod codec;
 pub mod corpus;
 pub mod engine;
 pub mod introspection;

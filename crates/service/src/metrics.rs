@@ -13,7 +13,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-pub use topk_obs::LatencyHistogram;
+use topk_obs::LatencyHistogram;
 use topk_obs::Registry;
 
 /// Latency-summary JSON for the stats response:

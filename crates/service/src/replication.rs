@@ -59,6 +59,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use crate::codec::{fnv1a, put_u32, put_u64, Reader};
 use crate::engine::Engine;
 use crate::journal;
 use crate::json::Json;
@@ -119,12 +120,12 @@ pub(crate) const REPL_LOG_CAP: usize = 4096;
 pub(crate) fn encode_frame(kind: u8, seq: u64, ts_ms: u64, payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(FRAME_HEADER + payload.len() + 8);
     buf.push(kind);
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(&ts_ms.to_le_bytes());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    put_u64(&mut buf, seq);
+    put_u64(&mut buf, ts_ms);
+    put_u32(&mut buf, payload.len() as u32);
     buf.extend_from_slice(payload);
-    let crc = journal::fnv1a(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
+    let crc = fnv1a(&buf);
+    put_u64(&mut buf, crc);
     buf
 }
 
@@ -138,20 +139,6 @@ pub(crate) struct Frame {
     pub payload: Vec<u8>,
 }
 
-/// `u64::from_le_bytes` over the first 8 bytes of a checked slice.
-fn le_u64(bytes: &[u8]) -> u64 {
-    let mut a = [0u8; 8];
-    a.copy_from_slice(&bytes[..8]);
-    u64::from_le_bytes(a)
-}
-
-/// `u32::from_le_bytes` over the first 4 bytes of a checked slice.
-fn le_u32(bytes: &[u8]) -> u32 {
-    let mut a = [0u8; 4];
-    a.copy_from_slice(&bytes[..4]);
-    u32::from_le_bytes(a)
-}
-
 /// Try to parse one frame off the front of `buf`. `Ok(None)` means the
 /// buffer holds only a frame prefix (read more); `Ok(Some)` drains the
 /// frame's bytes from the buffer.
@@ -159,13 +146,14 @@ pub(crate) fn take_frame(buf: &mut Vec<u8>) -> Result<Option<Frame>, String> {
     if buf.len() < FRAME_HEADER {
         return Ok(None);
     }
-    let kind = buf[0];
+    let mut r = Reader::new(buf);
+    let kind = r.take(1)?[0];
     if kind > FRAME_RESYNC {
         return Err(format!("replication frame has unknown kind {kind}"));
     }
-    let seq = le_u64(&buf[1..9]);
-    let ts_ms = le_u64(&buf[9..17]);
-    let len = le_u32(&buf[17..21]) as usize;
+    let seq = r.u64()?;
+    let ts_ms = r.u64()?;
+    let len = r.u32()? as usize;
     if len > MAX_FRAME_PAYLOAD {
         return Err(format!(
             "replication frame payload of {len} bytes exceeds cap"
@@ -175,11 +163,11 @@ pub(crate) fn take_frame(buf: &mut Vec<u8>) -> Result<Option<Frame>, String> {
     if buf.len() < total {
         return Ok(None);
     }
-    let stored = le_u64(&buf[FRAME_HEADER + len..total]);
-    if journal::fnv1a(&buf[..FRAME_HEADER + len]) != stored {
+    let payload = r.take(len)?;
+    if fnv1a(&buf[..FRAME_HEADER + len]) != r.u64()? {
         return Err("replication frame checksum mismatch".into());
     }
-    let payload = buf[FRAME_HEADER..FRAME_HEADER + len].to_vec();
+    let payload = payload.to_vec();
     buf.drain(..total);
     Ok(Some(Frame {
         kind,

@@ -27,82 +27,19 @@
 //! Bumping the format bumps `VERSION`; old readers fail closed with a
 //! clear error rather than misparsing.
 
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 use topk_core::IncrementalState;
 use topk_records::FieldId;
 
+use crate::codec::{fnv1a, put_len, put_row, put_str, put_u32, put_u64, Reader};
+
 const MAGIC: &[u8; 4] = b"TKSN";
 /// Current snapshot format version.
 pub const VERSION: u32 = 1;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Writer that maintains a running FNV-1a checksum of payload bytes.
-struct Sink<W: Write> {
-    w: W,
-    hash: u64,
-}
-
-impl<W: Write> Sink<W> {
-    fn put(&mut self, data: &[u8]) -> Result<(), String> {
-        self.w.write_all(data).map_err(|e| format!("write: {e}"))?;
-        for &b in data {
-            self.hash = (self.hash ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        Ok(())
-    }
-    fn u32(&mut self, v: u32) -> Result<(), String> {
-        self.put(&v.to_le_bytes())
-    }
-    fn u64(&mut self, v: u64) -> Result<(), String> {
-        self.put(&v.to_le_bytes())
-    }
-    fn str(&mut self, s: &str) -> Result<(), String> {
-        let len = u32::try_from(s.len()).map_err(|_| "string too long".to_string())?;
-        self.u32(len)?;
-        self.put(s.as_bytes())
-    }
-}
-
-/// Reader mirroring [`Sink`]'s checksum.
-struct Source<R: Read> {
-    r: R,
-    hash: u64,
-}
-
-impl<R: Read> Source<R> {
-    fn take(&mut self, buf: &mut [u8]) -> Result<(), String> {
-        self.r
-            .read_exact(buf)
-            .map_err(|e| format!("truncated snapshot: {e}"))?;
-        for &b in buf.iter() {
-            self.hash = (self.hash ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        Ok(())
-    }
-    fn u32(&mut self) -> Result<u32, String> {
-        let mut b = [0u8; 4];
-        self.take(&mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-    fn u64(&mut self) -> Result<u64, String> {
-        let mut b = [0u8; 8];
-        self.take(&mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-    fn str(&mut self, limit: u64) -> Result<String, String> {
-        let len = self.u32()? as u64;
-        if len > limit {
-            return Err(format!("string length {len} exceeds snapshot size"));
-        }
-        let mut buf = vec![0u8; len as usize];
-        self.take(&mut buf)?;
-        String::from_utf8(buf).map_err(|_| "snapshot string is not UTF-8".to_string())
-    }
-}
+/// Magic + version: the bytes the checksum does not cover.
+const HEADER: usize = 8;
 
 /// Serialize `state` into the snapshot wire/file format (magic, version,
 /// payload, checksum). The same bytes work on disk ([`write_snapshot`])
@@ -112,45 +49,34 @@ pub fn encode_snapshot(
     fields: &[String],
     name_field: FieldId,
 ) -> Result<Vec<u8>, String> {
-    let mut sink = Sink {
-        w: Vec::new(),
-        hash: FNV_OFFSET,
-    };
-    sink.w.write_all(MAGIC).map_err(|e| format!("write: {e}"))?;
-    sink.w
-        .write_all(&VERSION.to_le_bytes())
-        .map_err(|e| format!("write: {e}"))?;
-    sink.u64(state.generation)?;
-    sink.u32(fields.len() as u32)?;
+    let mut buf = Vec::new();
+    buf.extend_from_slice(MAGIC);
+    put_u32(&mut buf, VERSION);
+    put_u64(&mut buf, state.generation);
+    put_len(&mut buf, fields.len())?;
     for f in fields {
-        sink.str(f)?;
+        put_str(&mut buf, f)?;
     }
-    sink.u32(name_field.0 as u32)?;
-    sink.u32(state.records.len() as u32)?;
+    put_len(&mut buf, name_field.0)?;
+    put_len(&mut buf, state.records.len())?;
     for (texts, weight) in &state.records {
-        sink.u32(texts.len() as u32)?;
-        for t in texts {
-            sink.str(t)?;
-        }
-        sink.u64(weight.to_bits())?;
+        put_row(&mut buf, texts, *weight)?;
     }
-    sink.u32(state.parent.len() as u32)?;
+    put_len(&mut buf, state.parent.len())?;
     for &p in &state.parent {
-        sink.u32(p)?;
+        put_u32(&mut buf, p);
     }
-    sink.u32(state.blocks.len() as u32)?;
+    put_len(&mut buf, state.blocks.len())?;
     for (key, members) in &state.blocks {
-        sink.u64(*key)?;
-        sink.u32(members.len() as u32)?;
+        put_u64(&mut buf, *key);
+        put_len(&mut buf, members.len())?;
         for &m in members {
-            sink.u32(m)?;
+            put_u32(&mut buf, m);
         }
     }
-    let checksum = sink.hash;
-    sink.w
-        .write_all(&checksum.to_le_bytes())
-        .map_err(|e| format!("write: {e}"))?;
-    Ok(sink.w)
+    let checksum = fnv1a(&buf[HEADER..]);
+    put_u64(&mut buf, checksum);
+    Ok(buf)
 }
 
 /// Write `state` to `path`, returning the byte size of the file. The
@@ -178,33 +104,28 @@ pub fn write_snapshot(
 /// Parse snapshot bytes produced by [`encode_snapshot`]. Verifies the
 /// magic, version, and checksum before handing the state back.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<(IncrementalState, Vec<String>, FieldId), String> {
-    let size = bytes.len() as u64;
-    let mut src = Source {
-        r: bytes,
-        hash: FNV_OFFSET,
-    };
-    let mut magic = [0u8; 4];
-    src.r
-        .read_exact(&mut magic)
-        .map_err(|e| format!("truncated snapshot: {e}"))?;
-    if &magic != MAGIC {
+    let mut file = Reader::new(bytes);
+    if file.take(4)? != MAGIC {
         return Err("not a topk snapshot (bad magic)".into());
     }
-    let mut ver = [0u8; 4];
-    src.r
-        .read_exact(&mut ver)
-        .map_err(|e| format!("truncated snapshot: {e}"))?;
-    let version = u32::from_le_bytes(ver);
+    let version = file.u32()?;
     if version != VERSION {
         return Err(format!(
             "snapshot version {version} not supported (this build reads version {VERSION})"
         ));
     }
+    // The trailing checksum is verified before any length inside the
+    // payload is believed.
+    let payload = file.take(bytes.len().saturating_sub(HEADER + 8))?;
+    if file.u64()? != fnv1a(payload) {
+        return Err("snapshot checksum mismatch (file corrupted)".into());
+    }
+    let mut src = Reader::new(payload);
     let generation = src.u64()?;
     let n_fields = src.u32()? as usize;
     let mut fields = Vec::with_capacity(n_fields.min(1024));
     for _ in 0..n_fields {
-        fields.push(src.str(size)?);
+        fields.push(src.str()?);
     }
     let name_field = src.u32()? as usize;
     if !fields.is_empty() && name_field >= fields.len() {
@@ -216,12 +137,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(IncrementalState, Vec<String>, F
     let n_records = src.u32()? as usize;
     let mut records = Vec::with_capacity(n_records.min(1 << 20));
     for _ in 0..n_records {
-        let arity = src.u32()? as usize;
-        let mut texts = Vec::with_capacity(arity.min(1024));
-        for _ in 0..arity {
-            texts.push(src.str(size)?);
-        }
-        records.push((texts, f64::from_bits(src.u64()?)));
+        records.push(src.row()?);
     }
     let n_parent = src.u32()? as usize;
     let mut parent = Vec::with_capacity(n_parent.min(1 << 20));
@@ -239,14 +155,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(IncrementalState, Vec<String>, F
         }
         blocks.push((key, members));
     }
-    let expected = src.hash;
-    let mut ck = [0u8; 8];
-    src.r
-        .read_exact(&mut ck)
-        .map_err(|e| format!("truncated snapshot: {e}"))?;
-    if u64::from_le_bytes(ck) != expected {
-        return Err("snapshot checksum mismatch (file corrupted)".into());
-    }
+    src.finish()?;
     Ok((
         IncrementalState {
             records,

@@ -18,54 +18,14 @@
 //! everything and reports `certified`) and a live-socket check that
 //! served approx responses are the engine's, byte for byte.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use topk_core::Parallelism;
 use topk_service::json::Json;
-use topk_service::{Client, Engine, EngineConfig, Server};
+use topk_service::{Client, Server};
 
-const WATCHDOG_SECS: u64 = 90;
-
-fn start_watchdog() -> Arc<AtomicBool> {
-    let done = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&done);
-    std::thread::spawn(move || {
-        std::thread::sleep(std::time::Duration::from_secs(WATCHDOG_SECS));
-        if !flag.load(Ordering::SeqCst) {
-            eprintln!("serve_approx: watchdog fired after {WATCHDOG_SECS}s, aborting");
-            std::process::exit(124);
-        }
-    });
-    done
-}
-
-fn rows(n_students: usize, n_records: usize, zipf: f64, seed: u64) -> Vec<(Vec<String>, f64)> {
-    let d = topk_datagen::generate_students(&topk_datagen::StudentConfig {
-        n_students,
-        n_records,
-        zipf_exponent: zipf,
-        seed,
-        ..Default::default()
-    });
-    d.records()
-        .iter()
-        .map(|r| (r.fields().to_vec(), r.weight()))
-        .collect()
-}
-
-fn engine(shards: usize, rows: &[(Vec<String>, f64)]) -> Engine {
-    let e = Engine::new(EngineConfig {
-        parallelism: Parallelism::sequential(),
-        shards,
-        ..Default::default()
-    })
-    .expect("engine");
-    for chunk in rows.chunks(64) {
-        e.ingest(chunk.to_vec()).expect("ingest");
-    }
-    e
-}
+mod support;
+use support::{engine, student_rows as rows, watchdog};
 
 #[test]
 fn approx_responses_identical_at_shard_counts_1_through_8() {
@@ -76,13 +36,25 @@ fn approx_responses_identical_at_shard_counts_1_through_8() {
         for k in [1usize, 5, 100] {
             for eps in [0.05, 0.3, 0.9] {
                 assert_eq!(
-                    single.query_topk_approx(k, eps).unwrap().to_string(),
-                    sharded.query_topk_approx(k, eps).unwrap().to_string(),
+                    single
+                        .query_with(false, k, Some(eps), false, None)
+                        .unwrap()
+                        .to_string(),
+                    sharded
+                        .query_with(false, k, Some(eps), false, None)
+                        .unwrap()
+                        .to_string(),
                     "topk shards={shards} k={k} eps={eps}"
                 );
                 assert_eq!(
-                    single.query_topr_approx(k, eps).unwrap().to_string(),
-                    sharded.query_topr_approx(k, eps).unwrap().to_string(),
+                    single
+                        .query_with(true, k, Some(eps), false, None)
+                        .unwrap()
+                        .to_string(),
+                    sharded
+                        .query_with(true, k, Some(eps), false, None)
+                        .unwrap()
+                        .to_string(),
                     "topr shards={shards} k={k} eps={eps}"
                 );
             }
@@ -122,7 +94,7 @@ fn escalated_approx_topk_equals_exact_topk() {
             let e = engine(shards, &rows);
             let exact = e.query_topk(k).unwrap();
             for eps in [0.05, 0.1, 0.15] {
-                let approx = e.query_topk_approx(k, eps).unwrap();
+                let approx = e.query_with(false, k, Some(eps), false, None).unwrap();
                 let ag = approx.get("groups").unwrap().as_arr().unwrap();
                 if !fully_escalated(ag) {
                     continue;
@@ -164,7 +136,7 @@ fn tight_epsilon_samples_everything_and_certifies() {
     // shape must report certified with exact weights.
     let rows = rows(30, 150, 0.8, 9);
     let e = engine(2, &rows);
-    let body = e.query_topr_approx(3, 0.05).unwrap();
+    let body = e.query_with(true, 3, Some(0.05), false, None).unwrap();
     assert_eq!(
         body.get("certified").unwrap().as_bool(),
         Some(true),
@@ -195,23 +167,33 @@ fn tight_epsilon_samples_everything_and_certifies() {
 
 #[test]
 fn served_approx_matches_engine_and_counts_metrics() {
-    let done = start_watchdog();
+    let done = watchdog(90);
     let rows = rows(40, 200, 1.0, 11);
     let e = engine(4, &rows);
-    let want_topk = e.query_topk_approx(4, 0.1).unwrap().to_string();
-    let want_topr = e.query_topr_approx(4, 0.1).unwrap().to_string();
+    let want_topk = e
+        .query_with(false, 4, Some(0.1), false, None)
+        .unwrap()
+        .to_string();
+    let want_topr = e
+        .query_with(true, 4, Some(0.1), false, None)
+        .unwrap()
+        .to_string();
     let engine = Arc::new(e);
     let server = Server::bind("127.0.0.1:0", Arc::clone(&engine)).expect("bind");
     let (addr, handle) = server.spawn();
     let mut c = Client::connect(&addr.to_string()).expect("connect");
     // The served body is the engine body behind the ok flag.
-    let got = c.topk_approx(4, 0.1).expect("served approx topk");
+    let got = c
+        .query(false, 4, Some(0.1), false)
+        .expect("served approx topk");
     assert_eq!(
         got.to_string(),
         want_topk.replacen('{', "{\"ok\":true,", 1),
         "served approx topk"
     );
-    let got = c.topr_approx(4, 0.1).expect("served approx topr");
+    let got = c
+        .query(true, 4, Some(0.1), false)
+        .expect("served approx topr");
     assert_eq!(got.to_string(), want_topr.replacen('{', "{\"ok\":true,", 1));
     let text = c.metrics_text().expect("metrics");
     assert!(

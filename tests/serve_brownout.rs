@@ -15,54 +15,26 @@
 //! answers resume, and the resumed exact answer matches an unpressured
 //! reference byte for byte.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 
-use topk_core::Parallelism;
 use topk_service::overload::{EPSILON_LIGHT, EXIT_STREAK};
 use topk_service::server::dispatch;
 use topk_service::{Engine, EngineConfig, Metrics};
 
-const WATCHDOG_SECS: u64 = 90;
+mod support;
+use support::{engine_config, ingest_chunked, student_rows, watchdog, Rows};
 
-fn start_watchdog() -> Arc<AtomicBool> {
-    let done = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&done);
-    std::thread::spawn(move || {
-        std::thread::sleep(std::time::Duration::from_secs(WATCHDOG_SECS));
-        if !flag.load(Ordering::SeqCst) {
-            eprintln!("serve_brownout: watchdog fired after {WATCHDOG_SECS}s, aborting");
-            std::process::exit(124);
-        }
-    });
-    done
-}
-
-fn rows() -> Vec<(Vec<String>, f64)> {
-    let d = topk_datagen::generate_students(&topk_datagen::StudentConfig {
-        n_students: 40,
-        n_records: 200,
-        zipf_exponent: 0.9,
-        seed: 0xB20,
-        ..Default::default()
-    });
-    d.records()
-        .iter()
-        .map(|r| (r.fields().to_vec(), r.weight()))
-        .collect()
+fn rows() -> Rows {
+    student_rows(40, 200, 0.9, 0xB20)
 }
 
 fn engine(shards: usize, budget: u64, rows: &[(Vec<String>, f64)]) -> Engine {
     let e = Engine::new(EngineConfig {
-        parallelism: Parallelism::sequential(),
-        shards,
         memory_budget_bytes: budget,
-        ..Default::default()
+        ..engine_config(shards)
     })
     .expect("engine");
-    for chunk in rows.chunks(64) {
-        e.ingest(chunk.to_vec()).expect("ingest");
-    }
+    ingest_chunked(&e, rows);
     e
 }
 
@@ -81,7 +53,7 @@ fn pressuring_budget(resident: u64) -> u64 {
 
 #[test]
 fn degraded_answers_are_byte_identical_to_explicit_approx_at_every_shard_count() {
-    let done = start_watchdog();
+    let done = watchdog(90);
     let rows = rows();
     let budget = pressuring_budget(resident_bytes(&rows));
     // Reference: an unpressured single-shard engine answering the same
@@ -134,7 +106,7 @@ fn degraded_answers_are_byte_identical_to_explicit_approx_at_every_shard_count()
 
 #[test]
 fn exact_answers_resume_after_pressure_clears_with_hysteresis() {
-    let done = start_watchdog();
+    let done = watchdog(90);
     let rows = rows();
     let budget = pressuring_budget(resident_bytes(&rows));
     let reference = engine(1, 0, &rows);

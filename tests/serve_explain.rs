@@ -21,36 +21,15 @@
 //! existed — an explained response is the plain response with one
 //! `profile` member spliced in, and a stamped trace id changes nothing.
 
-use topk_core::Parallelism;
 use topk_service::json::Json;
 use topk_service::server::dispatch;
-use topk_service::{Engine, EngineConfig};
+use topk_service::Engine;
 
-fn rows(seed: u64) -> Vec<(Vec<String>, f64)> {
-    let d = topk_datagen::generate_students(&topk_datagen::StudentConfig {
-        n_students: 60,
-        n_records: 300,
-        zipf_exponent: 0.9,
-        seed,
-        ..Default::default()
-    });
-    d.records()
-        .iter()
-        .map(|r| (r.fields().to_vec(), r.weight()))
-        .collect()
-}
+mod support;
+use support::{engine, student_rows, Rows};
 
-fn engine(shards: usize, rows: &[(Vec<String>, f64)]) -> Engine {
-    let e = Engine::new(EngineConfig {
-        parallelism: Parallelism::sequential(),
-        shards,
-        ..Default::default()
-    })
-    .expect("engine");
-    for chunk in rows.chunks(64) {
-        e.ingest(chunk.to_vec()).expect("ingest");
-    }
-    e
+fn rows(seed: u64) -> Rows {
+    student_rows(60, 300, 0.9, seed)
 }
 
 /// Dispatch one request line and return the parsed response, asserting

@@ -17,16 +17,8 @@ use topk_bench::faults::{
 };
 use topk_service::{JournalSet, Metrics, ServerConfig};
 
-/// Abort the whole test process if a scenario wedges (a hung fault test
-/// would otherwise stall CI until its global timeout).
-fn watchdog(secs: u64) {
-    std::thread::spawn(move || {
-        let t0 = Instant::now();
-        std::thread::sleep(Duration::from_secs(secs));
-        eprintln!("serve_faults watchdog fired after {:?}", t0.elapsed());
-        std::process::exit(99);
-    });
-}
+mod support;
+use support::watchdog;
 
 #[test]
 fn slow_loris_writer_is_deadlined_and_server_stays_up() {

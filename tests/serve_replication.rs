@@ -17,58 +17,16 @@ use std::time::{Duration, Instant};
 use topk_bench::faults::{
     chaos_failover, chaos_replication, tight_config, wait_replica_records, TestServer,
 };
-use topk_core::Parallelism;
-use topk_service::{Engine, EngineConfig, Json, Metrics};
+use topk_service::{Engine, Json, Metrics};
+use topk_text::hash::fnv1a;
 
-/// Abort the whole test process if a scenario wedges (a hung replication
-/// test would otherwise stall CI until its global timeout).
-fn watchdog(secs: u64) {
-    std::thread::spawn(move || {
-        let t0 = Instant::now();
-        std::thread::sleep(Duration::from_secs(secs));
-        eprintln!("serve_replication watchdog fired after {:?}", t0.elapsed());
-        std::process::exit(99);
-    });
-}
-
-/// The generated citation corpus as raw ingest rows, in dataset order.
-fn sample_rows(seed: u64, n: usize) -> Vec<(Vec<String>, f64)> {
-    let d = topk_datagen::generate_citations(&topk_datagen::CitationConfig {
-        n_authors: 40,
-        n_citations: n,
-        seed,
-        ..Default::default()
-    });
-    d.records()
-        .iter()
-        .map(|r| (r.fields().to_vec(), r.weight()))
-        .collect()
-}
-
-/// Every query shape we compare, concatenated into one comparable blob.
-fn answers(e: &Engine, ks: &[usize]) -> String {
-    let mut out = String::new();
-    for &k in ks {
-        out.push_str(&e.query_topk(k).expect("topk").to_string());
-        out.push('\n');
-        out.push_str(&e.query_topr(k).expect("topr").to_string());
-        out.push('\n');
-    }
-    out
-}
-
-fn engine_config(shards: usize) -> EngineConfig {
-    EngineConfig {
-        parallelism: Parallelism::sequential(),
-        shards,
-        ..Default::default()
-    }
-}
+mod support;
+use support::{answers, citation_rows, engine_config, watchdog};
 
 #[test]
 fn replica_answers_are_byte_identical_at_every_shard_count() {
     watchdog(120);
-    let rows = sample_rows(11, 240);
+    let rows = citation_rows(40, 240, 11);
     // Citation rows are long; keep the batch sizes under a roomier cap
     // than the fault-suite default.
     let roomy = || topk_service::ServerConfig {
@@ -233,17 +191,6 @@ fn primary_death_mid_ingest_preserves_the_acked_prefix_through_promotion() {
     );
     drop(rc);
     replica.shutdown().unwrap();
-}
-
-/// FNV-1a over `bytes` — the same checksum the replication frames use,
-/// re-implemented here so the fake primary below can forge valid (and
-/// deliberately invalid) frames without reaching into crate internals.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        hash = (hash ^ b as u64).wrapping_mul(0x100000001b3);
-    }
-    hash
 }
 
 /// Serialize one replication frame, optionally corrupting the checksum.

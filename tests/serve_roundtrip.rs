@@ -19,7 +19,7 @@
 //! A watchdog thread hard-kills the process if the test wedges (a hung
 //! accept loop would otherwise block `cargo test` forever).
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use topk_core::{Parallelism, PipelineConfig, PrunedDedup, TopKRankQuery};
@@ -28,35 +28,13 @@ use topk_service::json::{obj as obj_json, Json};
 use topk_service::protocol::ok_response;
 use topk_service::{generic_stack, Client, Engine, EngineConfig, Server, ServerConfig};
 
-/// Hard ceiling on the whole test; generous — the test normally runs in
-/// well under a second.
-const WATCHDOG_SECS: u64 = 90;
-
-fn start_watchdog() -> Arc<AtomicBool> {
-    let done = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&done);
-    std::thread::spawn(move || {
-        std::thread::sleep(std::time::Duration::from_secs(WATCHDOG_SECS));
-        if !flag.load(Ordering::SeqCst) {
-            eprintln!("serve_roundtrip: watchdog fired after {WATCHDOG_SECS}s, aborting");
-            std::process::exit(124);
-        }
-    });
-    done
-}
+mod support;
+use support::{student_rows, watchdog, Rows};
 
 /// The generated corpus as raw ingest rows (field texts + weight), in
-/// dataset order.
-fn sample_rows() -> Vec<(Vec<String>, f64)> {
-    let d = topk_datagen::generate_students(&topk_datagen::StudentConfig {
-        n_students: 40,
-        n_records: 200,
-        ..Default::default()
-    });
-    d.records()
-        .iter()
-        .map(|r| (r.fields().to_vec(), r.weight()))
-        .collect()
+/// dataset order (the generator's default skew and seed).
+fn sample_rows() -> Rows {
+    student_rows(40, 200, 0.5, 0x57D1)
 }
 
 /// Tokenize rows exactly like `Engine::ingest` does (normalize, then
@@ -179,7 +157,7 @@ fn counter(stats: &Json, name: &str) -> u64 {
 
 #[test]
 fn served_answers_match_batch_and_survive_snapshot() {
-    let done = start_watchdog();
+    let done = watchdog(90);
     let rows = sample_rows();
     let toks = tokenize_rows(&rows);
     let k = 5;
@@ -269,7 +247,7 @@ fn served_answers_match_batch_and_survive_snapshot() {
 
 #[test]
 fn protocol_errors_do_not_kill_the_connection() {
-    let done = start_watchdog();
+    let done = watchdog(90);
     let (addr, handle) = spawn_server();
     let mut c = Client::connect(&addr.to_string()).expect("connect");
     // A garbage line gets the error envelope, and the connection lives on.
@@ -293,7 +271,7 @@ fn protocol_errors_do_not_kill_the_connection() {
     // A valid epsilon on the same connection answers in the approx shape.
     c.ingest_batch(&[(vec!["approx probe".into()], 1.0)])
         .expect("ingest probe");
-    let body = c.topk_approx(1, 0.5).expect("approx topk");
+    let body = c.query(false, 1, Some(0.5), false).expect("approx topk");
     assert_eq!(
         body.get("epsilon").and_then(Json::as_f64),
         Some(0.5),
@@ -319,7 +297,7 @@ fn protocol_edges_get_structured_treatment() {
     use std::net::TcpStream;
     use std::time::Duration;
 
-    let done = start_watchdog();
+    let done = watchdog(90);
     let (addr, handle) = spawn_server_with(ServerConfig {
         read_timeout: Duration::from_millis(800),
         write_timeout: Duration::from_millis(800),
@@ -401,7 +379,7 @@ fn protocol_edges_get_structured_treatment() {
 /// server stays fully coherent afterwards.
 #[test]
 fn concurrent_trace_toggles_and_drains_do_not_corrupt_the_protocol() {
-    let done = start_watchdog();
+    let done = watchdog(90);
     let (addr, handle) = spawn_server();
     let mut c = Client::connect(&addr.to_string()).expect("connect");
     c.ingest_batch(&sample_rows()[..50]).expect("ingest");

@@ -11,6 +11,9 @@
 use topk_core::Parallelism;
 use topk_service::{Engine, EngineConfig, JournalSet, Metrics};
 
+mod support;
+use support::{answers, citation_rows};
+
 fn engine_with(shards: usize, parallelism: Parallelism) -> Engine {
     Engine::new(EngineConfig {
         parallelism,
@@ -20,35 +23,9 @@ fn engine_with(shards: usize, parallelism: Parallelism) -> Engine {
     .expect("engine")
 }
 
-/// The generated citation corpus as raw ingest rows, in dataset order.
-fn sample_rows(seed: u64, n: usize) -> Vec<(Vec<String>, f64)> {
-    let d = topk_datagen::generate_citations(&topk_datagen::CitationConfig {
-        n_authors: 60,
-        n_citations: n,
-        seed,
-        ..Default::default()
-    });
-    d.records()
-        .iter()
-        .map(|r| (r.fields().to_vec(), r.weight()))
-        .collect()
-}
-
-/// Every query shape we compare, concatenated into one comparable blob.
-fn answers(e: &Engine, ks: &[usize]) -> String {
-    let mut out = String::new();
-    for &k in ks {
-        out.push_str(&e.query_topk(k).expect("topk").to_string());
-        out.push('\n');
-        out.push_str(&e.query_topr(k).expect("topr").to_string());
-        out.push('\n');
-    }
-    out
-}
-
 #[test]
 fn sharded_answers_are_byte_identical_to_single_engine() {
-    let rows = sample_rows(7, 400);
+    let rows = citation_rows(60, 400, 7);
     let ks = [1, 3, 10, 1000]; // 1000 > total groups: the k-overshoot edge
     let single = engine_with(1, Parallelism::sequential());
     for chunk in rows.chunks(61) {
@@ -131,7 +108,7 @@ fn skewed_corpus_skips_whole_shards() {
 fn journal_replay_reproduces_sharded_and_single_identically() {
     let dir = std::env::temp_dir().join("topk_serve_shards_journal");
     std::fs::create_dir_all(&dir).unwrap();
-    let rows = sample_rows(11, 200);
+    let rows = citation_rows(60, 200, 11);
     let mut lines = Vec::new();
     for shards in [1, 4] {
         let jpath = dir.join(format!("wal_{shards}"));
@@ -174,7 +151,7 @@ fn journal_replay_reproduces_sharded_and_single_identically() {
 fn snapshots_are_byte_identical_and_restore_across_shard_counts() {
     let dir = std::env::temp_dir().join("topk_serve_shards_snapshot");
     std::fs::create_dir_all(&dir).unwrap();
-    let rows = sample_rows(13, 250);
+    let rows = citation_rows(60, 250, 13);
     let ks = [1, 5, 100];
 
     // Build the same corpus at 1 and 4 shards; snapshot both.
