@@ -9,11 +9,12 @@
 //! component (exactly where feasible, greedily above the exact solver's
 //! limits).
 
-use topk_cluster::{exact_correlation_clustering, PairScorer, PairScores, SparseScores};
-use topk_predicates::{NecessaryIndex, PredicateStack};
+use topk_cluster::{exact_correlation_clustering, PairScorer, PairScores};
+use topk_predicates::PredicateStack;
 use topk_records::{Partition, TokenizedRecord};
 
 use crate::pipeline::{PipelineConfig, PrunedDedup, PruningMode};
+use crate::queries::canopy_scores;
 
 /// Result of [`deduplicate`].
 #[derive(Debug, Clone)]
@@ -45,48 +46,20 @@ pub fn deduplicate(
         };
     }
     // Collapse with all sufficient levels, no pruning.
-    let out = PrunedDedup::new(
-        toks,
-        stack,
-        PipelineConfig {
-            k: 1,
-            mode: PruningMode::CanopyCollapse,
-            ..Default::default()
-        },
-    )
-    .run();
-    let groups = out.groups;
+    let cfg = PipelineConfig {
+        k: 1,
+        mode: PruningMode::CanopyCollapse,
+        ..Default::default()
+    };
+    let par = cfg.parallelism;
+    let groups = PrunedDedup::new(toks, stack, cfg).run().groups;
     let n = groups.len();
     let reps: Vec<&TokenizedRecord> = groups.iter().map(|g| &toks[g.rep as usize]).collect();
     let weights: Vec<f64> = groups.iter().map(|g| g.weight).collect();
 
     // Score canopy pairs sparsely.
-    let mut ss = SparseScores::new(weights.clone(), non_canopy_score.min(-1e-9));
-    if let Some((_, n_pred)) = stack.levels.last() {
-        let canopy = NecessaryIndex::build(&reps, n_pred.as_ref());
-        for i in 0..n {
-            for j in canopy.candidates(i as u32) {
-                let j = j as usize;
-                if j > i && n_pred.matches(reps[i], reps[j]) {
-                    ss.insert(
-                        i,
-                        j,
-                        scorer.score(reps[i], reps[j]) * weights[i] * weights[j],
-                    );
-                }
-            }
-        }
-    } else {
-        for i in 0..n {
-            for j in (i + 1)..n {
-                ss.insert(
-                    i,
-                    j,
-                    scorer.score(reps[i], reps[j]) * weights[i] * weights[j],
-                );
-            }
-        }
-    }
+    let last_n = stack.levels.last().map(|(_, n_pred)| n_pred.as_ref());
+    let ss = canopy_scores(&reps, &weights, last_n, scorer, non_canopy_score, par);
 
     // Cluster each positive component exactly (where feasible).
     let mut group_labels = vec![0u32; n];

@@ -24,9 +24,9 @@ use std::{cmp::Ordering, collections::BTreeSet};
 use topk_graph::UnionFind;
 use topk_predicates::{PredicateStack, SufficientPredicate};
 use topk_records::TokenizedRecord;
+use topk_text::Parallelism;
 
-use crate::bounds::{estimate_lower_bound, prune_groups_fast};
-use crate::pipeline::FinalGroup;
+use crate::pipeline::{cpn_bound_and_prune, run_levels, FinalGroup, REFINE_ITERATIONS};
 
 /// Online first-level collapse plus on-demand TopK evaluation.
 ///
@@ -427,41 +427,18 @@ impl IncrementalDedup {
     /// [`insert`](Self::insert).
     pub fn query(&mut self, stack: &PredicateStack, k: usize) -> Vec<FinalGroup> {
         assert!(k >= 1, "K must be at least 1");
-        let mut units = self.groups();
-        for (level, (s_pred, n_pred)) in stack.levels.iter().enumerate() {
-            if level > 0 {
-                // Deeper-level collapse on the (small) group set.
-                let reps: Vec<&TokenizedRecord> =
-                    units.iter().map(|u| &self.toks[u.rep as usize]).collect();
-                let weights: Vec<f64> = units.iter().map(|u| u.weight).collect();
-                let collapsed = topk_predicates::collapse(&reps, &weights, s_pred.as_ref());
-                units = collapsed
-                    .iter()
-                    .map(|g| {
-                        let mut members = Vec::new();
-                        for &u in &g.members {
-                            members.extend_from_slice(&units[u as usize].members);
-                        }
-                        FinalGroup {
-                            members,
-                            rep: units[g.rep as usize].rep,
-                            weight: g.weight,
-                        }
-                    })
-                    .collect();
-            }
-            let reps: Vec<&TokenizedRecord> =
-                units.iter().map(|u| &self.toks[u.rep as usize]).collect();
-            let weights: Vec<f64> = units.iter().map(|u| u.weight).collect();
-            let lb = estimate_lower_bound(&reps, &weights, n_pred.as_ref(), k);
-            let kept = prune_groups_fast(&reps, &weights, n_pred.as_ref(), lb.lower_bound, 2);
-            units = kept.iter().map(|&i| units[i as usize].clone()).collect();
-            if units.len() <= k {
-                break;
-            }
-        }
-        units.sort_by(|a, b| b.weight.total_cmp(&a.weight).then(a.rep.cmp(&b.rep)));
-        units
+        let par = Parallelism::sequential();
+        let collapsed = self.groups();
+        run_levels(
+            &self.toks,
+            Some(collapsed),
+            &stack.levels,
+            par,
+            Some(k),
+            cpn_bound_and_prune(k, REFINE_ITERATIONS, par),
+        )
+        .0
+        .groups
     }
 
     /// Access the inserted records (for mapping groups back to data).

@@ -19,11 +19,20 @@
 //!
 //! Rank-only and thresholded variants (§7) are in [`queries`].
 //!
+//! Steps 1-3 are one loop, written once in [`pipeline`]: it owns the
+//! collapse, the member merge, the per-level statistics and the final
+//! sort, and takes the level's *bound-and-prune* step from its caller.
+//! [`PrunedDedup`] (and through it [`TopKQuery`] and [`TopKRankQuery`])
+//! and [`IncrementalDedup::query`] pass the CPN estimate with the fast
+//! prune; [`ThresholdedRankQuery`] passes `M = T` with the exact prune.
+//! The loop reads records through `Borrow<TokenizedRecord>`, so a caller
+//! holding them elsewhere (the service's shards) hands in references.
+//!
 //! # Module map
 //!
 //! | Module | Paper section |
 //! |---|---|
-//! | [`pipeline`] | Algorithm 2 (PrunedDedup), Figure 6 ablation modes |
+//! | [`pipeline`] | Algorithm 2 (the level loop, PrunedDedup), Figure 6 ablation modes |
 //! | [`bounds`] | §4.2 lower bound `M` (CPN), §4.3 iterative upper bounds |
 //! | [`queries`] | §5 count query, §7.1 rank, §7.2 thresholded |
 //! | [`stats`] | per-iteration `n, m, M, n′` of Figures 2-4 |
@@ -87,8 +96,8 @@ pub use dedup::{deduplicate, DedupResult};
 pub use incremental::{GroupSummary, IncrementalDedup, IncrementalState};
 pub use pipeline::{FinalGroup, PipelineConfig, PipelineOutcome, PrunedDedup, PruningMode};
 pub use queries::{
-    AnswerGroup, AnswerMethod, RankEntry, RankResult, ThresholdedRankQuery, TopKAnswer, TopKQuery,
-    TopKRankQuery, TopKResult,
+    AnswerGroup, RankEntry, RankResult, ThresholdedRankQuery, TopKAnswer, TopKQuery, TopKRankQuery,
+    TopKResult,
 };
 pub use stats::{IterationStats, PipelineStats};
 pub use topk_text::Parallelism;

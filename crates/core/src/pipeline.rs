@@ -1,8 +1,9 @@
 //! The PrunedDedup pipeline — Algorithm 2 of the paper.
 
-use std::time::Instant;
+use std::borrow::Borrow;
+use std::time::{Duration, Instant};
 
-use topk_predicates::{collapse_par, PredicateStack};
+use topk_predicates::{collapse_par, NecessaryPredicate, PredicateStack, SufficientPredicate};
 use topk_records::TokenizedRecord;
 use topk_text::Parallelism;
 
@@ -47,7 +48,7 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
             k: 10,
-            refine_iterations: 2,
+            refine_iterations: REFINE_ITERATIONS,
             mode: PruningMode::Full,
             parallelism: Parallelism::auto(),
         }
@@ -77,160 +78,248 @@ pub struct PipelineOutcome {
     pub stats: PipelineStats,
 }
 
+/// Upper-bound refinement passes every query runs the prune with (§4.3:
+/// two passes captured almost all the benefit in the paper's experiments).
+pub(crate) const REFINE_ITERATIONS: usize = 2;
+
 /// Algorithm 2: iterated collapse → lower bound → prune.
-pub struct PrunedDedup<'a> {
-    toks: &'a [TokenizedRecord],
+///
+/// `R` is how the caller holds its records — owned (`&[TokenizedRecord]`)
+/// or by reference (`&[&TokenizedRecord]`); the pipeline only reads them.
+pub struct PrunedDedup<'a, R = TokenizedRecord> {
+    toks: &'a [R],
     stack: &'a PredicateStack,
     cfg: PipelineConfig,
 }
 
-impl<'a> PrunedDedup<'a> {
+impl<'a, R: Borrow<TokenizedRecord>> PrunedDedup<'a, R> {
     /// Set up the pipeline over tokenized records and a predicate stack.
-    pub fn new(
-        toks: &'a [TokenizedRecord],
-        stack: &'a PredicateStack,
-        cfg: PipelineConfig,
-    ) -> Self {
+    pub fn new(toks: &'a [R], stack: &'a PredicateStack, cfg: PipelineConfig) -> Self {
         assert!(cfg.k >= 1, "K must be at least 1");
         PrunedDedup { toks, stack, cfg }
     }
 
     /// Run the pipeline.
     pub fn run(&self) -> PipelineOutcome {
-        let start = Instant::now();
-        let d = self.toks.len();
-        let par = self.cfg.parallelism;
+        let cfg = &self.cfg;
+        let par = cfg.parallelism;
         let mut root_sp = topk_obs::Span::enter("pipeline.run");
-        root_sp.record("records", d);
-        root_sp.record("k", self.cfg.k);
+        root_sp.record("records", self.toks.len());
+        root_sp.record("k", cfg.k);
         root_sp.record("threads", par.get());
         if root_sp.is_recording() {
-            root_sp.record("mode", format!("{:?}", self.cfg.mode));
+            root_sp.record("mode", format!("{:?}", cfg.mode));
         }
-        let mut stats = PipelineStats {
-            original_records: d,
-            threads: par.get(),
-            ..Default::default()
+        // Figure 6's ablations: without collapse no level runs, without
+        // prune every level keeps all of its groups.
+        let levels: &[Level] = match cfg.mode {
+            PruningMode::NoOptimization | PruningMode::CanopyOnly => &[],
+            PruningMode::CanopyCollapse | PruningMode::Full => &self.stack.levels,
         };
-        // Current units: (members, rep, weight), initially one per record.
-        let mut units: Vec<FinalGroup> = (0..d as u32)
-            .map(|i| FinalGroup {
-                members: vec![i],
-                rep: i,
-                weight: self.toks[i as usize].weight(),
-            })
-            .collect();
-        let mut last_lower_bound = 0.0;
-
-        let do_collapse = matches!(
-            self.cfg.mode,
-            PruningMode::CanopyCollapse | PruningMode::Full
+        let mut cpn = cpn_bound_and_prune(cfg.k, cfg.refine_iterations, par);
+        let (out, _) = run_levels(
+            self.toks,
+            None,
+            levels,
+            par,
+            Some(cfg.k),
+            |reps, weights, n_pred| match cfg.mode {
+                PruningMode::Full => cpn(reps, weights, n_pred),
+                _ => LevelPrune::keep_all(reps.len()),
+            },
         );
-        let do_prune = matches!(self.cfg.mode, PruningMode::Full);
+        root_sp.record("groups_out", out.groups.len());
+        root_sp.record("iterations", out.stats.iterations.len());
+        out
+    }
+}
 
-        if do_collapse {
-            for (level, (s_pred, n_pred)) in self.stack.levels.iter().enumerate() {
-                let t0 = Instant::now();
-                let reps: Vec<&TokenizedRecord> =
-                    units.iter().map(|u| &self.toks[u.rep as usize]).collect();
-                let weights: Vec<f64> = units.iter().map(|u| u.weight).collect();
-                let collapsed = collapse_par(&reps, &weights, s_pred.as_ref(), par);
-                // Merge member lists according to the collapse result.
-                let mut next_units: Vec<FinalGroup> = collapsed
-                    .iter()
-                    .map(|g| {
-                        let mut members = Vec::new();
-                        for &u in &g.members {
-                            members.extend_from_slice(&units[u as usize].members);
-                        }
-                        FinalGroup {
-                            members,
-                            rep: units[g.rep as usize].rep,
-                            weight: g.weight,
-                        }
-                    })
-                    .collect();
-                let collapse_time = t0.elapsed();
-                let n_after_collapse = next_units.len();
+/// What one level's bound-and-prune step decided about the level's
+/// collapsed groups — the part of Algorithm 2 that varies by query.
+pub(crate) struct LevelPrune {
+    /// Prefix length the bound was certified at (0 when `M` is given).
+    pub m: usize,
+    /// The `M` the level pruned against.
+    pub lower_bound: f64,
+    pub bound_time: Duration,
+    pub prune_time: Duration,
+    /// Survivors in input order: (index into the level's groups, upper
+    /// bound on the weight of any answer group containing it — infinite
+    /// where the step does not report one).
+    pub kept: Vec<(u32, f64)>,
+}
 
-                let (m, lower_bound, bound_time, prune_time, kept_units) = if do_prune {
-                    let t1 = Instant::now();
-                    let reps: Vec<&TokenizedRecord> = next_units
-                        .iter()
-                        .map(|u| &self.toks[u.rep as usize])
-                        .collect();
-                    let weights: Vec<f64> = next_units.iter().map(|u| u.weight).collect();
-                    let lb = estimate_lower_bound(&reps, &weights, n_pred.as_ref(), self.cfg.k);
-                    let bound_time = t1.elapsed();
-                    let t2 = Instant::now();
-                    let kept_ids = prune_groups_fast_par(
-                        &reps,
-                        &weights,
-                        n_pred.as_ref(),
-                        lb.lower_bound,
-                        self.cfg.refine_iterations,
-                        par,
-                    );
-                    let prune_time = t2.elapsed();
-                    let kept: Vec<FinalGroup> = kept_ids
-                        .iter()
-                        .map(|&i| next_units[i as usize].clone())
-                        .collect();
-                    (lb.m, lb.lower_bound, bound_time, prune_time, kept)
-                } else {
-                    let kept = std::mem::take(&mut next_units);
-                    (
-                        0,
-                        0.0,
-                        std::time::Duration::ZERO,
-                        std::time::Duration::ZERO,
-                        kept,
-                    )
-                };
-                last_lower_bound = lower_bound;
-                let n_after_prune = kept_units.len();
-                topk_obs::debug!(
-                    "level {level}: collapse -> {n_after_collapse} groups in {collapse_time:?}, \
-                     M={lower_bound:.3} (m={m}) in {bound_time:?}, \
-                     prune -> {n_after_prune} groups in {prune_time:?}"
-                );
-                stats.iterations.push(IterationStats {
-                    level,
-                    n_after_collapse,
-                    pct_after_collapse: pct(n_after_collapse, d),
-                    m,
-                    lower_bound,
-                    n_after_prune,
-                    pct_after_prune: pct(n_after_prune, d),
-                    collapse_time,
-                    bound_time,
-                    prune_time,
-                });
-                units = kept_units;
-                if units.len() <= self.cfg.k {
-                    break; // Algorithm 2 line 7: exact answer already found
-                }
-            }
-        }
-
-        units.sort_by(|a, b| b.weight.total_cmp(&a.weight).then(a.rep.cmp(&b.rep)));
-        stats.total_time = start.elapsed();
-        root_sp.record("groups_out", units.len());
-        root_sp.record("iterations", stats.iterations.len());
-        PipelineOutcome {
-            groups: units,
-            last_lower_bound,
-            stats,
+impl LevelPrune {
+    /// No pruning: every one of the level's `n` groups survives.
+    fn keep_all(n: usize) -> Self {
+        LevelPrune {
+            m: 0,
+            lower_bound: 0.0,
+            bound_time: Duration::ZERO,
+            prune_time: Duration::ZERO,
+            kept: (0..n as u32).map(|i| (i, f64::INFINITY)).collect(),
         }
     }
 }
 
-fn pct(n: usize, d: usize) -> f64 {
-    if d == 0 {
-        0.0
-    } else {
-        100.0 * n as f64 / d as f64
+/// The TopK step (§4.2 + §4.3): estimate `M` by the CPN bound, then the
+/// fast prune against it.
+pub(crate) fn cpn_bound_and_prune(
+    k: usize,
+    refine_iterations: usize,
+    par: Parallelism,
+) -> impl FnMut(&[&TokenizedRecord], &[f64], &dyn NecessaryPredicate) -> LevelPrune {
+    move |reps, weights, n_pred| {
+        let t_bound = Instant::now();
+        let lb = estimate_lower_bound(reps, weights, n_pred, k);
+        let bound_time = t_bound.elapsed();
+        let t_prune = Instant::now();
+        let kept = prune_groups_fast_par(
+            reps,
+            weights,
+            n_pred,
+            lb.lower_bound,
+            refine_iterations,
+            par,
+        );
+        LevelPrune {
+            m: lb.m,
+            lower_bound: lb.lower_bound,
+            bound_time,
+            prune_time: t_prune.elapsed(),
+            kept: kept.into_iter().map(|i| (i, f64::INFINITY)).collect(),
+        }
     }
+}
+
+/// Each group's representative record and weight — what the predicates
+/// and the bounds read of a group.
+fn reps_and_weights<'r, R: Borrow<TokenizedRecord>>(
+    recs: &'r [R],
+    units: &[FinalGroup],
+) -> (Vec<&'r TokenizedRecord>, Vec<f64>) {
+    let reps = units.iter().map(|u| recs[u.rep as usize].borrow());
+    (reps.collect(), units.iter().map(|u| u.weight).collect())
+}
+
+/// One `(S, N)` level of a [`PredicateStack`].
+type Level = (Box<dyn SufficientPredicate>, Box<dyn NecessaryPredicate>);
+
+/// Algorithm 2's level loop, the one copy every query runs: per
+/// predicate level, collapse the current groups' representatives with
+/// the sufficient predicate, merge their member lists, and let
+/// `bound_and_prune` decide which collapsed groups go on.
+///
+/// The groups start as one per record, or as `collapsed` when the caller
+/// already holds the first level's collapse (heaviest first, as
+/// [`collapse_par`] returns them). With `stop_at = Some(k)` the loop ends
+/// once at most `k` groups remain (Algorithm 2 line 7).
+///
+/// Returns the outcome and, per surviving group, the upper bound the last
+/// level's step reported (the group's own weight when no level ran).
+pub(crate) fn run_levels<R: Borrow<TokenizedRecord>>(
+    recs: &[R],
+    collapsed: Option<Vec<FinalGroup>>,
+    levels: &[Level],
+    par: Parallelism,
+    stop_at: Option<usize>,
+    mut bound_and_prune: impl FnMut(&[&TokenizedRecord], &[f64], &dyn NecessaryPredicate) -> LevelPrune,
+) -> (PipelineOutcome, Vec<f64>) {
+    let start = Instant::now();
+    let d = recs.len();
+    let pct = |n: usize| {
+        if d == 0 {
+            0.0
+        } else {
+            100.0 * n as f64 / d as f64
+        }
+    };
+    let mut stats = PipelineStats {
+        original_records: d,
+        threads: par.get(),
+        ..Default::default()
+    };
+    let first_is_collapsed = collapsed.is_some();
+    let mut units = collapsed.unwrap_or_else(|| {
+        (0..d as u32)
+            .map(|i| FinalGroup {
+                members: vec![i],
+                rep: i,
+                weight: recs[i as usize].borrow().weight(),
+            })
+            .collect()
+    });
+    let mut upper_bounds: Vec<f64> = units.iter().map(|u| u.weight).collect();
+    let mut last_lower_bound = 0.0;
+
+    for (level, (s_pred, n_pred)) in levels.iter().enumerate() {
+        let t_collapse = Instant::now();
+        if level > 0 || !first_is_collapsed {
+            let (reps, weights) = reps_and_weights(recs, &units);
+            units = collapse_par(&reps, &weights, s_pred.as_ref(), par)
+                .into_iter()
+                .map(|g| {
+                    let mut members = Vec::new();
+                    for &u in &g.members {
+                        members.extend_from_slice(&units[u as usize].members);
+                    }
+                    FinalGroup {
+                        members,
+                        rep: units[g.rep as usize].rep,
+                        weight: g.weight,
+                    }
+                })
+                .collect();
+        }
+        let collapse_time = t_collapse.elapsed();
+        let n_after_collapse = units.len();
+
+        let (reps, weights) = reps_and_weights(recs, &units);
+        let pruned = bound_and_prune(&reps, &weights, n_pred.as_ref());
+        let mut slots: Vec<Option<FinalGroup>> = units.into_iter().map(Some).collect();
+        units = pruned
+            .kept
+            .iter()
+            .map(|&(i, _)| slots[i as usize].take().expect("kept ids are distinct"))
+            .collect();
+        upper_bounds = pruned.kept.iter().map(|&(_, u)| u).collect();
+        last_lower_bound = pruned.lower_bound;
+        let n_after_prune = units.len();
+        topk_obs::debug!(
+            "level {level}: collapse -> {n_after_collapse} groups in {collapse_time:?}, \
+             M={:.3} (m={}) in {:?}, prune -> {n_after_prune} groups in {:?}",
+            pruned.lower_bound,
+            pruned.m,
+            pruned.bound_time,
+            pruned.prune_time
+        );
+        stats.iterations.push(IterationStats {
+            level,
+            n_after_collapse,
+            pct_after_collapse: pct(n_after_collapse),
+            m: pruned.m,
+            lower_bound: pruned.lower_bound,
+            n_after_prune,
+            pct_after_prune: pct(n_after_prune),
+            collapse_time,
+            bound_time: pruned.bound_time,
+            prune_time: pruned.prune_time,
+        });
+        if stop_at.is_some_and(|k| units.len() <= k) {
+            break; // Algorithm 2 line 7: exact answer already found
+        }
+    }
+
+    let mut ranked: Vec<(FinalGroup, f64)> = units.into_iter().zip(upper_bounds).collect();
+    ranked.sort_by(|(a, _), (b, _)| b.weight.total_cmp(&a.weight).then(a.rep.cmp(&b.rep)));
+    let (groups, upper_bounds) = ranked.into_iter().unzip();
+    stats.total_time = start.elapsed();
+    let outcome = PipelineOutcome {
+        groups,
+        last_lower_bound,
+        stats,
+    };
+    (outcome, upper_bounds)
 }
 
 #[cfg(test)]

@@ -1,16 +1,21 @@
 //! Query types: TopK count (§5), TopK rank (§7.1), thresholded rank
 //! (§7.2).
 
+use std::borrow::Borrow;
+use std::time::{Duration, Instant};
+
 use topk_cluster::{
-    agglomerate, frontier_topr, greedy_embedding, segment_topk, segment_topk_sparse, Linkage,
-    PairScorer, PairScores, SegmentConfig, SparseScores,
+    greedy_embedding, segment_topk, segment_topk_sparse, PairScorer, PairScores, SegmentConfig,
+    SparseScores,
 };
-use topk_predicates::{collapse_par, NecessaryIndex, PredicateStack};
+use topk_predicates::{NecessaryIndex, NecessaryPredicate, PredicateStack};
 use topk_records::TokenizedRecord;
 use topk_text::Parallelism;
 
 use crate::bounds::prune_groups;
-use crate::pipeline::{FinalGroup, PipelineConfig, PrunedDedup, PruningMode};
+use crate::pipeline::{
+    run_levels, FinalGroup, LevelPrune, PipelineConfig, PrunedDedup, PruningMode, REFINE_ITERATIONS,
+};
 use crate::stats::PipelineStats;
 
 /// One group in a TopK answer.
@@ -43,18 +48,16 @@ pub struct TopKResult {
     pub stats: PipelineStats,
 }
 
-/// Which §5 machinery produces the R answers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AnswerMethod {
-    /// Linear embedding + segmentation DP (§5.3) — the paper's primary
-    /// method; its grouping space strictly contains the frontier space.
-    #[default]
-    Segmentation,
-    /// Hierarchical grouping: average-link dendrogram + frontier
-    /// enumeration (§5.2). Provided for comparison and for callers that
-    /// already maintain a hierarchy.
-    HierarchyFrontier,
-}
+/// Cap on segment length in the final DP (see
+/// [`SegmentConfig::max_segment_len`]).
+const MAX_SEGMENT_LEN: usize = 256;
+/// Score (scaled by group weights) of a pair failing the last necessary
+/// predicate — Algorithm 2 line 9 applies `P` only to canopy-surviving
+/// pairs; the rest are certain non-duplicates.
+const NON_CANOPY_SCORE: f64 = -1.0;
+/// Safety cap on the number of groups entering the final clustering; the
+/// heaviest are kept.
+const MAX_FINAL_ITEMS: usize = 50_000;
 
 /// The TopK count query: the K largest duplicate groups, with the R
 /// highest-scoring groupings returned to expose resolution ambiguity.
@@ -66,30 +69,14 @@ pub struct TopKQuery {
     pub r: usize,
     /// Greedy-embedding decay α (Eq. 3).
     pub alpha: f64,
-    /// Cap on segment length in the DP (see
-    /// [`SegmentConfig::max_segment_len`]).
-    pub max_segment_len: usize,
-    /// Score assigned (scaled by group weights) to pairs failing the last
-    /// necessary predicate — Algorithm 2 line 9 applies `P` only to
-    /// canopy-surviving pairs; the rest are certain non-duplicates.
-    pub non_canopy_score: f64,
-    /// Safety cap on the number of groups entering the final clustering;
-    /// the heaviest groups are kept.
-    pub max_final_items: usize,
+    /// Thread budget for the pipeline and the final scoring pass;
+    /// results are identical for every setting.
+    pub parallelism: Parallelism,
     /// Above this many surviving groups the final step switches from the
     /// dense n x n score matrix to the sparse component-wise path
     /// (canopy pairs only + per-component segmentation; see
     /// `topk_cluster::sparse`).
-    pub sparse_threshold: usize,
-    /// Pruning configuration.
-    pub refine_iterations: usize,
-    /// Optimization mode (Figure 6 ablations).
-    pub mode: PruningMode,
-    /// Which §5 machinery produces the answers.
-    pub method: AnswerMethod,
-    /// Thread budget for the pipeline and the final scoring pass;
-    /// results are identical for every setting.
-    pub parallelism: Parallelism,
+    sparse_threshold: usize,
 }
 
 impl TopKQuery {
@@ -99,14 +86,8 @@ impl TopKQuery {
             k,
             r,
             alpha: 0.6,
-            max_segment_len: 256,
-            non_canopy_score: -1.0,
-            max_final_items: 50_000,
-            sparse_threshold: 2_000,
-            refine_iterations: 2,
-            mode: PruningMode::Full,
-            method: AnswerMethod::Segmentation,
             parallelism: Parallelism::auto(),
+            sparse_threshold: 2_000,
         }
     }
 
@@ -122,14 +103,14 @@ impl TopKQuery {
             stack,
             PipelineConfig {
                 k: self.k,
-                refine_iterations: self.refine_iterations,
-                mode: self.mode,
+                refine_iterations: REFINE_ITERATIONS,
+                mode: PruningMode::Full,
                 parallelism: self.parallelism,
             },
         )
         .run();
         let mut groups = out.groups;
-        groups.truncate(self.max_final_items);
+        groups.truncate(MAX_FINAL_ITEMS);
         let answers = final_answers(self, toks, stack, scorer, &groups);
         TopKResult {
             answers,
@@ -148,8 +129,6 @@ fn final_answers(
     groups: &[FinalGroup],
 ) -> Vec<TopKAnswer> {
     let (k, r) = (q.k, q.r);
-    let (alpha, max_segment_len) = (q.alpha, q.max_segment_len);
-    let (non_canopy_score, method) = (q.non_canopy_score, q.method);
     let n = groups.len();
     if n == 0 {
         return vec![TopKAnswer {
@@ -165,40 +144,24 @@ fn final_answers(
     // (they differ only in how the tail is split); such answers are the
     // same TopK result, so request spare groupings and deduplicate by
     // group composition below.
-    let spare_r = r.saturating_mul(3).max(r);
+    let cfg = SegmentConfig {
+        k,
+        r: r.saturating_mul(3).max(r),
+        max_segment_len: MAX_SEGMENT_LEN,
+    };
 
     // Large surviving sets take the sparse component-wise path: score
-    // only canopy pairs (retrieved through the necessary predicate's
-    // candidate index), default everything else to the non-canopy rate.
-    if n > q.sparse_threshold && method == AnswerMethod::Segmentation {
-        let mut ss = SparseScores::new(weights.clone(), non_canopy_score.min(-1e-9));
-        if let Some(n_pred) = last_n {
-            let canopy = NecessaryIndex::build_par(&reps, n_pred, q.parallelism);
-            // Score canopy pairs in parallel (row-sharded, read-only
-            // probes), then insert sequentially in row order so the
-            // sparse matrix is built identically for every thread count.
-            let scored = q.parallelism.map_indices(n, |i| {
-                canopy
-                    .candidates(i as u32)
-                    .into_iter()
-                    .map(|j| j as usize)
-                    .filter(|&j| j > i && n_pred.matches(reps[i], reps[j]))
-                    .map(|j| (j, scorer.score(reps[i], reps[j]) * weights[i] * weights[j]))
-                    .collect::<Vec<(usize, f64)>>()
-            });
-            for (i, row) in scored.into_iter().enumerate() {
-                for (j, s) in row {
-                    ss.insert(i, j, s);
-                }
-            }
-        }
-        let cfg = SegmentConfig {
-            k,
-            r: spare_r,
-            max_segment_len,
-        };
-        let sparse_answers = segment_topk_sparse(&ss, &cfg, alpha, 2048);
-        let candidates: Vec<(f64, Vec<Vec<usize>>)> = sparse_answers
+    // only canopy pairs, default everything else to the non-canopy rate.
+    if n > q.sparse_threshold {
+        let ss = canopy_scores(
+            &reps,
+            &weights,
+            last_n,
+            scorer,
+            NON_CANOPY_SCORE,
+            q.parallelism,
+        );
+        let candidates: Vec<(f64, Vec<Vec<usize>>)> = segment_topk_sparse(&ss, &cfg, q.alpha, 2048)
             .into_iter()
             .map(|a| {
                 let clusters = a
@@ -222,7 +185,7 @@ fn final_answers(
                 let s = if canopy {
                     scorer.score(reps[i], reps[j])
                 } else {
-                    non_canopy_score
+                    NON_CANOPY_SCORE
                 };
                 (i, j, s * weights[i] * weights[j])
             })
@@ -230,37 +193,63 @@ fn final_answers(
     });
     let pairs: Vec<(usize, usize, f64)> = rows.into_iter().flatten().collect();
     let ps = PairScores::from_pairs(n, &pairs);
-    // Candidate groupings: (score, clusters of unit indices).
-    let candidates: Vec<(f64, Vec<Vec<usize>>)> = match method {
-        AnswerMethod::Segmentation => {
-            let order = greedy_embedding(&ps, alpha);
-            let permuted = ps.permute(&order);
-            let cfg = SegmentConfig {
-                k,
-                r: spare_r,
-                max_segment_len,
-            };
-            segment_topk(&permuted, &cfg)
-                .into_iter()
-                .map(|a| {
-                    let clusters = a
-                        .segments
-                        .iter()
-                        .map(|&(s, e)| (s..e).map(|pos| order[pos] as usize).collect())
-                        .collect();
-                    (a.score, clusters)
-                })
-                .collect()
-        }
-        AnswerMethod::HierarchyFrontier => {
-            let dendrogram = agglomerate(&ps, Linkage::Average);
-            frontier_topr(&dendrogram, &ps, spare_r)
-                .into_iter()
-                .map(|(score, partition)| (score, partition.groups()))
-                .collect()
-        }
-    };
+    // Linear embedding + segmentation DP (§5.3), whose grouping space
+    // contains the hierarchy frontiers of §5.2.
+    let order = greedy_embedding(&ps, q.alpha);
+    let permuted = ps.permute(&order);
+    let candidates: Vec<(f64, Vec<Vec<usize>>)> = segment_topk(&permuted, &cfg)
+        .into_iter()
+        .map(|a| {
+            let clusters = a
+                .segments
+                .iter()
+                .map(|&(s, e)| (s..e).map(|pos| order[pos] as usize).collect())
+                .collect();
+            (a.score, clusters)
+        })
+        .collect();
     dedup_answers(candidates, groups, &weights, k, r)
+}
+
+/// Algorithm 2 line 9 for a group set too large for a dense matrix: `P`
+/// on the pairs passing the last necessary predicate, retrieved through
+/// its candidate index, and every other pair left at `non_canopy_score`
+/// (forced negative). Without a necessary predicate every pair is a
+/// canopy pair.
+///
+/// Rows are scored in parallel (read-only probes) and inserted
+/// sequentially in row order, so the matrix is built identically for
+/// every thread count.
+pub(crate) fn canopy_scores(
+    reps: &[&TokenizedRecord],
+    weights: &[f64],
+    last_n: Option<&dyn NecessaryPredicate>,
+    scorer: &dyn PairScorer,
+    non_canopy_score: f64,
+    par: Parallelism,
+) -> SparseScores {
+    let n = reps.len();
+    let canopy = last_n.map(|n_pred| (NecessaryIndex::build_par(reps, n_pred, par), n_pred));
+    let scored = par.map_indices(n, |i| {
+        let score = |j: usize| (j, scorer.score(reps[i], reps[j]) * weights[i] * weights[j]);
+        match &canopy {
+            Some((index, n_pred)) => index
+                .candidates(i as u32)
+                .into_iter()
+                .map(|j| j as usize)
+                .filter(|&j| j > i && n_pred.matches(reps[i], reps[j]))
+                .map(score)
+                .collect::<Vec<(usize, f64)>>(),
+            None => ((i + 1)..n).map(score).collect(),
+        }
+    });
+    let mut ss = SparseScores::new(weights.to_vec(), non_canopy_score.min(-1e-9));
+    for (i, row) in scored.into_iter().enumerate() {
+        for (j, s) in row {
+            ss.insert(i, j, s);
+        }
+    }
+    ss
 }
 
 /// Build answers from candidate groupings, deduplicating by the
@@ -377,8 +366,6 @@ pub struct RankResult {
 pub struct TopKRankQuery {
     /// Number of ranked groups wanted.
     pub k: usize,
-    /// Upper-bound refinement passes.
-    pub refine_iterations: usize,
     /// Thread budget for the pipeline stages.
     pub parallelism: Parallelism,
 }
@@ -388,19 +375,23 @@ impl TopKRankQuery {
     pub fn new(k: usize) -> Self {
         TopKRankQuery {
             k,
-            refine_iterations: 2,
             parallelism: Parallelism::auto(),
         }
     }
 
-    /// Run the query.
-    pub fn run(&self, toks: &[TokenizedRecord], stack: &PredicateStack) -> RankResult {
+    /// Run the query over records held owned or by reference (the
+    /// service passes its shards' records in place).
+    pub fn run<R: Borrow<TokenizedRecord>>(
+        &self,
+        toks: &[R],
+        stack: &PredicateStack,
+    ) -> RankResult {
         let out = PrunedDedup::new(
             toks,
             stack,
             PipelineConfig {
                 k: self.k,
-                refine_iterations: self.refine_iterations,
+                refine_iterations: REFINE_ITERATIONS,
                 mode: PruningMode::Full,
                 parallelism: self.parallelism,
             },
@@ -408,7 +399,10 @@ impl TopKRankQuery {
         .run();
         let groups = out.groups;
         let n = groups.len();
-        let reps: Vec<&TokenizedRecord> = groups.iter().map(|g| &toks[g.rep as usize]).collect();
+        let reps: Vec<&TokenizedRecord> = groups
+            .iter()
+            .map(|g| toks[g.rep as usize].borrow())
+            .collect();
         let weights: Vec<f64> = groups.iter().map(|g| g.weight).collect();
         let last_n = match stack.levels.last() {
             Some((_, n_pred)) => n_pred.as_ref(),
@@ -425,7 +419,7 @@ impl TopKRankQuery {
             &weights,
             last_n,
             out.last_lower_bound,
-            self.refine_iterations,
+            REFINE_ITERATIONS,
         );
         let kept = resolved_group_pruning(
             &weights,
@@ -544,8 +538,6 @@ fn resolved_group_pruning(
 pub struct ThresholdedRankQuery {
     /// The weight threshold `T`.
     pub threshold: f64,
-    /// Upper-bound refinement passes.
-    pub refine_iterations: usize,
     /// Thread budget for the collapse stages.
     pub parallelism: Parallelism,
 }
@@ -555,147 +547,57 @@ impl ThresholdedRankQuery {
     pub fn new(threshold: f64) -> Self {
         ThresholdedRankQuery {
             threshold,
-            refine_iterations: 2,
             parallelism: Parallelism::auto(),
         }
     }
 
-    /// Run the query: Algorithm 2 with `M = T` at every level.
+    /// Run the query: Algorithm 2 with `M = T` at every level and the
+    /// exact prune, whose upper bounds the entries report.
     pub fn run(&self, toks: &[TokenizedRecord], stack: &PredicateStack) -> RankResult {
-        let start = std::time::Instant::now();
-        let d = toks.len();
-        let mut stats = PipelineStats {
-            original_records: d,
-            threads: self.parallelism.get(),
-            ..Default::default()
-        };
-        let mut units: Vec<FinalGroup> = (0..d as u32)
-            .map(|i| FinalGroup {
-                members: vec![i],
-                rep: i,
-                weight: toks[i as usize].weight(),
-            })
-            .collect();
-        let mut last_bounds: Option<crate::bounds::PruneResult> = None;
-        for (level, (s_pred, n_pred)) in stack.levels.iter().enumerate() {
-            let t0 = std::time::Instant::now();
-            let reps: Vec<&TokenizedRecord> = units.iter().map(|u| &toks[u.rep as usize]).collect();
-            let weights: Vec<f64> = units.iter().map(|u| u.weight).collect();
-            let collapsed = collapse_par(&reps, &weights, s_pred.as_ref(), self.parallelism);
-            let next_units: Vec<FinalGroup> = collapsed
-                .iter()
-                .map(|g| {
-                    let mut members = Vec::new();
-                    for &u in &g.members {
-                        members.extend_from_slice(&units[u as usize].members);
-                    }
-                    FinalGroup {
-                        members,
-                        rep: units[g.rep as usize].rep,
-                        weight: g.weight,
-                    }
-                })
-                .collect();
-            let collapse_time = t0.elapsed();
-            let n_after_collapse = next_units.len();
-            let t2 = std::time::Instant::now();
-            let reps: Vec<&TokenizedRecord> =
-                next_units.iter().map(|u| &toks[u.rep as usize]).collect();
-            let weights: Vec<f64> = next_units.iter().map(|u| u.weight).collect();
-            let pr = prune_groups(
-                &reps,
-                &weights,
-                n_pred.as_ref(),
-                self.threshold,
-                self.refine_iterations,
-            );
-            let prune_time = t2.elapsed();
-            let kept: Vec<FinalGroup> = pr
-                .kept
-                .iter()
-                .map(|&i| next_units[i as usize].clone())
-                .collect();
-            let pruned_bounds: Vec<f64> = pr
-                .kept
-                .iter()
-                .map(|&i| pr.upper_bounds[i as usize])
-                .collect();
-            let adjacency_kept = reindex_adjacency(&pr.kept, &pr.adjacency);
-            stats.iterations.push(crate::stats::IterationStats {
-                level,
-                n_after_collapse,
-                pct_after_collapse: pct(n_after_collapse, d),
-                m: 0,
-                lower_bound: self.threshold,
-                n_after_prune: kept.len(),
-                pct_after_prune: pct(kept.len(), d),
-                collapse_time,
-                bound_time: std::time::Duration::ZERO,
-                prune_time,
-            });
-            last_bounds = Some(crate::bounds::PruneResult {
-                kept: (0..kept.len() as u32).collect(),
-                upper_bounds: pruned_bounds,
-                adjacency: adjacency_kept,
-            });
-            units = kept;
-        }
-        stats.total_time = start.elapsed();
-
-        let mut order: Vec<usize> = (0..units.len()).collect();
-        order.sort_by(|&a, &b| units[b].weight.total_cmp(&units[a].weight));
-        let entries: Vec<RankEntry> = order
-            .iter()
-            .filter(|&&i| units[i].weight >= self.threshold)
-            .map(|&i| RankEntry {
-                records: units[i].members.clone(),
-                weight: units[i].weight,
-                upper_bound: last_bounds
-                    .as_ref()
-                    .map_or(units[i].weight, |b| b.upper_bounds[i]),
-                rep: units[i].rep,
+        let t = self.threshold;
+        let (out, upper_bounds) = run_levels(
+            toks,
+            None,
+            &stack.levels,
+            self.parallelism,
+            None,
+            |reps, weights, n_pred| {
+                let t_prune = Instant::now();
+                let pr = prune_groups(reps, weights, n_pred, t, REFINE_ITERATIONS);
+                LevelPrune {
+                    m: 0,
+                    lower_bound: t,
+                    bound_time: Duration::ZERO,
+                    prune_time: t_prune.elapsed(),
+                    kept: pr
+                        .kept
+                        .iter()
+                        .map(|&i| (i, pr.upper_bounds[i as usize]))
+                        .collect(),
+                }
+            },
+        );
+        let ranked = || out.groups.iter().zip(&upper_bounds);
+        let entries: Vec<RankEntry> = ranked()
+            .filter(|(g, _)| g.weight >= t)
+            .map(|(g, &upper_bound)| RankEntry {
+                records: g.members.clone(),
+                weight: g.weight,
+                upper_bound,
+                rep: g.rep,
             })
             .collect();
         // §7.2 termination test: every certain group dominates the bounds
         // of everything else.
-        let kth = entries.last().map(|e| e.weight).unwrap_or(self.threshold);
-        let certified = entries.iter().all(|e| e.weight >= self.threshold)
-            && order
-                .iter()
-                .filter(|&&i| units[i].weight < self.threshold)
-                .all(|&i| {
-                    last_bounds
-                        .as_ref()
-                        .map_or(true, |b| b.upper_bounds[i] <= kth.max(self.threshold))
-                });
+        let kth = entries.last().map_or(t, |e| e.weight);
+        let certified = ranked()
+            .filter(|(g, _)| g.weight < t)
+            .all(|(_, &u)| u <= kth.max(t));
         RankResult {
             entries,
             certified,
-            stats,
+            stats: out.stats,
         }
-    }
-}
-
-fn reindex_adjacency(kept: &[u32], adjacency: &[Vec<u32>]) -> Vec<Vec<u32>> {
-    let mut new_id = std::collections::HashMap::new();
-    for (new, &old) in kept.iter().enumerate() {
-        new_id.insert(old, new as u32);
-    }
-    kept.iter()
-        .map(|&old| {
-            adjacency[old as usize]
-                .iter()
-                .filter_map(|o| new_id.get(o).copied())
-                .collect()
-        })
-        .collect()
-}
-
-fn pct(n: usize, d: usize) -> f64 {
-    if d == 0 {
-        0.0
-    } else {
-        100.0 * n as f64 / d as f64
     }
 }
 
@@ -808,55 +710,6 @@ mod tests {
             contained * 2 >= top_rank.records.len(),
             "top rank entry mostly inside top count group"
         );
-    }
-}
-
-#[cfg(test)]
-mod method_tests {
-    use super::*;
-    use topk_predicates::student_predicates;
-    use topk_records::{tokenize_dataset, FieldId};
-
-    fn scorer(a: &TokenizedRecord, b: &TokenizedRecord) -> f64 {
-        let name_sim = topk_text::sim::overlap_coefficient(
-            a.field(FieldId(0)).qgrams3(),
-            b.field(FieldId(0)).qgrams3(),
-        );
-        let clean = a.field(FieldId(2)).text == b.field(FieldId(2)).text
-            && a.field(FieldId(3)).text == b.field(FieldId(3)).text;
-        if clean {
-            name_sim - 0.45
-        } else {
-            -1.0
-        }
-    }
-
-    #[test]
-    fn frontier_method_agrees_with_segmentation_on_top_groups() {
-        let d = topk_datagen::generate_students(&topk_datagen::StudentConfig {
-            n_students: 60,
-            n_records: 300,
-            ..Default::default()
-        });
-        let toks = tokenize_dataset(&d);
-        let stack = student_predicates(d.schema());
-        let seg = TopKQuery::new(3, 1).run(&toks, &stack, &scorer);
-        let mut q = TopKQuery::new(3, 1);
-        q.method = AnswerMethod::HierarchyFrontier;
-        let frontier = q.run(&toks, &stack, &scorer);
-        assert_eq!(frontier.answers[0].groups.len(), 3);
-        // §5.3: segmentation's grouping space contains the frontier space,
-        // so its best answer scores at least as high.
-        assert!(
-            seg.answers[0].score >= frontier.answers[0].score - 1e-6,
-            "seg {} < frontier {}",
-            seg.answers[0].score,
-            frontier.answers[0].score
-        );
-        // On this clean workload both should find the same top group.
-        let w_seg = seg.answers[0].groups[0].weight;
-        let w_fr = frontier.answers[0].groups[0].weight;
-        assert!((w_seg - w_fr).abs() < 1e-6, "{w_seg} vs {w_fr}");
     }
 }
 

@@ -180,9 +180,6 @@ struct Core {
     /// with each predicate stack, which is dropped before the next fold.
     stats: Arc<CorpusStats>,
     seen: HashSet<u64>,
-    /// All collapsed records in gid order, gathered for TopR when there
-    /// is more than one shard; invalidated by every flush.
-    topr_toks: Option<Vec<TokenizedRecord>>,
     /// Largest single-record weight ever collapsed — the bound the
     /// approximate estimator's fallback interval stands on.
     max_weight: f64,
@@ -311,7 +308,6 @@ impl Engine {
                 global: Vec::new(),
                 stats: Arc::new(CorpusStats::new()),
                 seen: HashSet::new(),
-                topr_toks: None,
                 max_weight: 0.0,
             }),
             cache: Mutex::new(HashMap::new()),
@@ -819,7 +815,6 @@ impl Engine {
             global,
             stats,
             seen,
-            topr_toks,
             max_weight,
         } = core;
         let mut shard_refs: Vec<&mut Shard> = shards.iter_mut().map(Self::shard_mut).collect();
@@ -901,7 +896,6 @@ impl Engine {
                 }
             });
         }
-        *topr_toks = None;
         for (i, m) in shards.iter_mut().enumerate() {
             let s = Self::shard_mut(m);
             self.shard_gauges[i]
@@ -1377,11 +1371,9 @@ impl Engine {
         Ok(obj(vec![("groups", Json::Arr(items))]))
     }
 
-    /// TopR over all shards: the rank query runs over the records in
-    /// global id order — exactly the slice a single engine would hand
-    /// it, so answers are byte-identical at every shard count. With one
-    /// shard the records are borrowed in place; with more they are
-    /// gathered (clones) into a cache invalidated by the next flush.
+    /// TopR over all shards: the rank query reads the shards' records in
+    /// place, in global id order — exactly the slice a single engine
+    /// would hand it, so answers are byte-identical at every shard count.
     fn compute_topr(
         &self,
         core: &mut Core,
@@ -1394,17 +1386,13 @@ impl Engine {
             shards,
             global,
             stats,
-            topr_toks,
             ..
         } = core;
+        let shards: Vec<&Shard> = shards.iter_mut().map(|m| &*Self::shard_mut(m)).collect();
         if let Some(p) = prof.as_deref_mut() {
             // The rank query scans every collapsed record, so no shard
             // is ever skipped — only empty shards contribute nothing.
-            let empty = shards
-                .iter_mut()
-                .map(Self::shard_mut)
-                .filter(|s| s.inc.is_empty())
-                .count();
+            let empty = shards.iter().filter(|s| s.inc.is_empty()).count();
             p.shards = Some(ShardProfile {
                 total: shards.len(),
                 scanned: shards.len() - empty,
@@ -1421,19 +1409,10 @@ impl Engine {
         self.check_deadline(deadline, "gather")?;
         let t_gather = Instant::now();
         let stack = self.stack(stats, field);
-        let toks: &[TokenizedRecord] = if shards.len() == 1 {
-            Self::shard_mut(&mut shards[0]).inc.records()
-        } else {
-            if topr_toks.is_none() {
-                let refs: Vec<&Shard> = shards.iter_mut().map(|m| &*Self::shard_mut(m)).collect();
-                let mut all = Vec::with_capacity(global.len());
-                for &(si, li) in global.iter() {
-                    all.push(refs[si as usize].inc.records()[li as usize].clone());
-                }
-                *topr_toks = Some(all);
-            }
-            topr_toks.as_deref().unwrap_or(&[])
-        };
+        let toks: Vec<&TokenizedRecord> = global
+            .iter()
+            .map(|&(si, li)| &shards[si as usize].inc.records()[li as usize])
+            .collect();
         if let Some(p) = prof.as_deref_mut() {
             p.stage("gather", t_gather.elapsed());
         }
@@ -1441,7 +1420,7 @@ impl Engine {
         let t_rank = Instant::now();
         let mut q = TopKRankQuery::new(k);
         q.parallelism = self.cfg.parallelism;
-        let res = q.run(toks, &stack);
+        let res = q.run(&toks, &stack);
         let entries: Vec<Json> = res
             .entries
             .iter()
@@ -2097,7 +2076,6 @@ impl Engine {
             global,
             stats: Arc::new(stats),
             seen,
-            topr_toks: None,
             max_weight,
         };
         {

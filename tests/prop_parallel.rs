@@ -12,7 +12,8 @@ use proptest::prelude::*;
 
 use topk_core::bounds::prune_groups_fast_par;
 use topk_core::{
-    prune_groups_fast, Parallelism, PipelineConfig, PipelineOutcome, PrunedDedup, TopKQuery,
+    prune_groups_fast, Parallelism, PipelineConfig, PipelineOutcome, PrunedDedup, RankResult,
+    ThresholdedRankQuery, TopKQuery, TopKRankQuery,
 };
 use topk_datagen::{generate_addresses, generate_citations, AddressConfig, CitationConfig};
 use topk_records::{tokenize_dataset, FieldId, TokenizedRecord};
@@ -60,6 +61,35 @@ fn assert_outcomes_identical(
         "M bound not bit-identical at {} threads",
         threads
     );
+    Ok(())
+}
+
+/// Assert two rank answers are identical: same entries in the same
+/// order (members, reps, bit-identical weights and upper bounds) and the
+/// same certification.
+fn assert_ranks_identical(
+    seq: &RankResult,
+    par: &RankResult,
+    threads: usize,
+) -> Result<(), String> {
+    prop_assert_eq!(
+        seq.entries.len(),
+        par.entries.len(),
+        "entry count diverged at {} threads",
+        threads
+    );
+    for (es, ep) in seq.entries.iter().zip(&par.entries) {
+        prop_assert_eq!(es.rep, ep.rep, "entry rep diverged at {} threads", threads);
+        prop_assert_eq!(&es.records, &ep.records);
+        prop_assert_eq!(es.weight.to_bits(), ep.weight.to_bits());
+        prop_assert_eq!(
+            es.upper_bound.to_bits(),
+            ep.upper_bound.to_bits(),
+            "upper bound not bit-identical at {} threads",
+            threads
+        );
+    }
+    prop_assert_eq!(seq.certified, par.certified);
     Ok(())
 }
 
@@ -134,6 +164,38 @@ proptest! {
                 seq.stats.final_group_count(),
                 par.stats.final_group_count()
             );
+        }
+    }
+
+    /// The rank (§7.1) and thresholded (§7.2) queries run the same level
+    /// loop as the count query — `thresh` with its own prune step — so
+    /// their entries, bounds and `certified` flag must not depend on the
+    /// thread count either.
+    #[test]
+    fn rank_and_thresh_match_sequential(seed in 0u64..300, k in 1usize..8, t in 2u32..12) {
+        let data = generate_citations(&CitationConfig {
+            n_authors: 40,
+            n_citations: 180,
+            seed,
+            ..Default::default()
+        });
+        let toks = tokenize_dataset(&data);
+        let stack = topk_predicates::citation_predicates(data.schema(), &toks);
+
+        let rank = |threads: usize| {
+            let mut q = TopKRankQuery::new(k);
+            q.parallelism = Parallelism::threads(threads);
+            q.run(&toks, &stack)
+        };
+        let thresh = |threads: usize| {
+            let mut q = ThresholdedRankQuery::new(f64::from(t));
+            q.parallelism = Parallelism::threads(threads);
+            q.run(&toks, &stack)
+        };
+        let (seq_rank, seq_thresh) = (rank(1), thresh(1));
+        for threads in THREAD_COUNTS {
+            assert_ranks_identical(&seq_rank, &rank(threads), threads)?;
+            assert_ranks_identical(&seq_thresh, &thresh(threads), threads)?;
         }
     }
 
